@@ -1,5 +1,6 @@
 //! The machine a result was measured on: reported and effective
-//! parallelism, the thread override, and the process's peak memory.
+//! parallelism, the thread override, the process's CPU clock and its
+//! peak memory.
 
 use std::time::Instant;
 
@@ -79,4 +80,47 @@ pub fn peak_rss_mb() -> Option<f64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb / 1024.0)
+}
+
+/// CPU time of the whole process — every thread, user and system — in
+/// milliseconds, from `CLOCK_PROCESS_CPUTIME_ID`. Time a thread spends
+/// runnable but waiting for a core, because another process or the
+/// hypervisor has it, does not count: on a shared host this clock
+/// measures the work, the wall clock the work plus the neighbours.
+pub fn process_cpu_ms() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `clock_gettime` writes one `struct timespec` (two 64-bit
+    // fields on 64-bit Linux) through the pointer and keeps nothing.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.tv_sec as f64 * 1e3 + ts.tv_nsec as f64 / 1e6
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cpu_clock_counts_work_not_sleep() {
+        let c0 = process_cpu_ms();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let slept = process_cpu_ms() - c0;
+        assert!(slept < 25.0, "sleeping used {slept} ms of CPU");
+        let c1 = process_cpu_ms();
+        spin(20_000_000);
+        let spun = process_cpu_ms() - c1;
+        assert!(spun > 1.0, "spinning used only {spun} ms of CPU");
+    }
 }

@@ -107,6 +107,12 @@ fn main() -> ExitCode {
     for p in &outcome.problems {
         eprintln!("perfbench: MISMATCH: {p}");
     }
+    if let Some((p50, p90, ops)) = outcome.wall() {
+        let setup = stats::p50(&outcome.setup_wall_s);
+        println!(
+            "wall setup_s={setup:.3} latency_p50_ms={p50:.3} latency_p90_ms={p90:.3} throughput_ops={ops:.2}"
+        );
+    }
     println!("script {}", outcome.script_digest);
     println!(
         "outputs ops={} all={} head={}",

@@ -8,9 +8,9 @@ use std::collections::BTreeMap;
 /// End-to-end metrics (`--trace 0`): name, unit.
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
-    ("latency_p50_ms", "ms"),
-    ("latency_p90_ms", "ms"),
-    ("throughput_ops", "ops/s"),
+    ("cpu_p50_ms", "ms"),
+    ("cpu_p90_ms", "ms"),
+    ("ops_per_cpu_s", "ops/s"),
     ("success_share", "ratio"),
     ("peak_rss_mb", "MiB"),
     ("test_acc_pct", "%"),
@@ -68,6 +68,9 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("train.ms", "ms"),
     ("train.epochs", "count"),
     ("predict.ms", "ms"),
+    ("wall.latency_p50_ms", "ms"),
+    ("wall.latency_p90_ms", "ms"),
+    ("wall.throughput_ops", "ops/s"),
     ("trace.overhead_pct", "%"),
     ("trace.spans", "count"),
     ("machine.available_parallelism", "count"),
@@ -83,26 +86,34 @@ pub struct Outcome {
     pub attempted: u64,
     /// Typed error replies, transport errors and panics.
     pub failed: u64,
-    /// Latency of every successful operation of the measured phase.
+    /// Wall-clock latency of every successful operation of the
+    /// measured phase.
     pub latencies_ms: Vec<f64>,
+    /// Process CPU time of every successful operation, in the same
+    /// order (see [`crate::machine::process_cpu_ms`]).
+    pub cpu_ms: Vec<f64>,
+    /// Process CPU time of every attempted operation, summed.
+    pub cpu_spent_ms: f64,
     /// Wall time of the measured phase.
     pub wall_s: f64,
-    /// One entry per set-up repetition.
+    /// Process CPU time of each set-up repetition.
     pub setup_s: Vec<f64>,
+    /// Wall time of each set-up repetition.
+    pub setup_wall_s: Vec<f64>,
     pub test_acc_pct: f64,
     pub script_digest: Digest,
     /// Outputs digested (successful operations).
     pub outputs: u64,
-    /// Digest of every output fingerprint, per client in script order.
+    /// Digest of every output fingerprint, in script order.
     pub digest_all: Digest,
-    /// Digest of each client's first [`HEAD`] outputs only — equal
+    /// Digest of each log's first [`HEAD`] outputs only — equal
     /// across runs of one seed, whatever the machine's speed.
     pub digest_head: Digest,
     /// Per-layer figures (traced runs).
     pub layers: BTreeMap<String, f64>,
 }
 
-/// Outputs per client folded into [`Outcome::digest_head`].
+/// Outputs per log folded into [`Outcome::digest_head`].
 pub const HEAD: usize = 32;
 
 /// The outputs of one client, in script order.
@@ -134,7 +145,7 @@ impl Outcome {
         self.problems.push(p.into());
     }
 
-    /// Folds the clients' output logs, in client order.
+    /// Folds output logs, in order.
     pub fn absorb_outputs(&mut self, logs: &[OutputLog]) {
         for log in logs {
             self.digest_all.u64(log.all.value());
@@ -151,10 +162,45 @@ impl Outcome {
         self.layers.insert(name.to_string(), value);
     }
 
-    fn end_to_end(&self) -> Result<Vec<f64>, String> {
+    /// Records one operation's wall and CPU time; `ok` when it
+    /// succeeded.
+    pub fn op(&mut self, ok: bool, wall_ms: f64, cpu_ms: f64) {
+        self.attempted += 1;
+        self.cpu_spent_ms += cpu_ms;
+        if ok {
+            self.latencies_ms.push(wall_ms);
+            self.cpu_ms.push(cpu_ms);
+        } else {
+            self.failed += 1;
+        }
+    }
+
+    /// Folds a client's operations into the run's.
+    pub fn absorb_ops(&mut self, client: Outcome) {
+        self.attempted += client.attempted;
+        self.failed += client.failed;
+        self.latencies_ms.extend(client.latencies_ms);
+        self.cpu_ms.extend(client.cpu_ms);
+        self.cpu_spent_ms += client.cpu_spent_ms;
+        self.problems.extend(client.problems);
+    }
+
+    /// The wall-clock view of the measured phase, printed beside the
+    /// result: p50 and p90 latency (ms) and successful operations per
+    /// second. `None` without samples.
+    pub fn wall(&self) -> Option<(f64, f64, f64)> {
         let n = self.latencies_ms.len();
+        Some((
+            stats::nearest_rank(&self.latencies_ms, 50.0)?,
+            stats::nearest_rank(&self.latencies_ms, 90.0)?,
+            n as f64 / self.wall_s,
+        ))
+    }
+
+    fn end_to_end(&self) -> Result<Vec<f64>, String> {
+        let n = self.cpu_ms.len();
         let pct = |p: f64| {
-            supported_percentile(&self.latencies_ms, p).ok_or(format!(
+            supported_percentile(&self.cpu_ms, p).ok_or(format!(
                 "{n} successful samples cannot support p{p}: fewer than {} beyond it",
                 stats::MIN_BEYOND
             ))
@@ -163,7 +209,7 @@ impl Outcome {
             stats::p50(&self.setup_s),
             pct(50.0)?,
             pct(90.0)?,
-            n as f64 / self.wall_s,
+            n as f64 / (self.cpu_spent_ms / 1e3),
             stats::share(self.attempted - self.failed, self.attempted),
             peak_rss_mb().ok_or("no /proc/self/status to read VmHWM from")?,
             self.test_acc_pct,
@@ -178,7 +224,11 @@ impl Outcome {
         let mut pairs: Vec<(&str, f64, &str)> = Vec::new();
         if traced {
             let mut layers = self.layers.clone();
+            let (p50, p90, ops) = self.wall().unwrap_or_default();
             for (name, value) in [
+                ("wall.latency_p50_ms", p50),
+                ("wall.latency_p90_ms", p90),
+                ("wall.throughput_ops", ops),
                 ("machine.available_parallelism", machine.available as f64),
                 ("machine.effective_parallelism", machine.effective),
                 ("machine.freehgc_threads", machine.freehgc_threads as f64),
@@ -248,33 +298,52 @@ mod tests {
         assert_eq!(declared("per_layer"), own(PER_LAYER));
     }
 
+    /// 100 successes taking 1..=100 ms of CPU (and twice that of wall
+    /// time), and 20 failures taking 10 ms of CPU each.
     fn sample_outcome() -> Outcome {
-        Outcome {
-            attempted: 120,
-            failed: 20,
-            latencies_ms: (1..=100).map(f64::from).collect(),
+        let mut o = Outcome {
             wall_s: 10.0,
             setup_s: vec![0.3, 0.1, 0.2],
             test_acc_pct: 80.0,
             ..Default::default()
+        };
+        for ms in 1..=100 {
+            o.op(true, 2.0 * f64::from(ms), f64::from(ms));
         }
+        for _ in 0..20 {
+            o.op(false, 99.0, 10.0);
+        }
+        o
     }
 
     #[test]
     fn typed_errors_count_against_success() {
         let o = sample_outcome();
+        assert_eq!((o.attempted, o.failed), (120, 20));
         let e2e = o.end_to_end().unwrap();
         assert_eq!(e2e[0], 0.2, "median set-up time");
-        assert_eq!(e2e[1], 50.0);
+        assert_eq!(e2e[1], 50.0, "CPU percentiles come from successes only");
         assert_eq!(e2e[2], 90.0);
-        assert_eq!(e2e[3], 10.0, "successful operations per second");
+        // 5050 ms of CPU on successes plus 200 ms on failures.
+        assert_eq!(e2e[3], 100.0 / 5.25, "successes per CPU-second spent");
         assert_eq!(e2e[4], 100.0 / 120.0, "20 failed of 120 attempted");
+        assert_eq!(o.wall(), Some((100.0, 180.0, 10.0)));
+    }
+
+    #[test]
+    fn clients_fold_into_the_run() {
+        let mut run = Outcome::default();
+        run.absorb_ops(sample_outcome());
+        run.absorb_ops(sample_outcome());
+        assert_eq!((run.attempted, run.failed), (240, 40));
+        assert_eq!(run.cpu_ms.len(), 200);
+        assert_eq!(run.cpu_spent_ms, 2.0 * 5250.0);
     }
 
     #[test]
     fn too_few_samples_print_no_result() {
         let mut o = sample_outcome();
-        o.latencies_ms.truncate(99);
+        o.cpu_ms.truncate(99);
         let m = Machine {
             available: 2,
             freehgc_threads: 0,
@@ -287,6 +356,7 @@ mod tests {
         assert!(
             line.contains("\"machine.available_parallelism\": {\"value\": 2, \"unit\": \"count\"}")
         );
+        assert!(line.contains("\"wall.latency_p50_ms\": {\"value\": 100, \"unit\": \"ms\"}"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use super::{
     accuracy_probe, catch, compose_layers, ms_since, overhead_pct, repeat_setup, stage_layers,
-    validate, CacheTotals, Clock, RunCfg, GRAPH_SEED,
+    validate, CacheTotals, Clock, OpTimer, RunCfg, GRAPH_SEED,
 };
 use crate::metrics::{Outcome, OutputLog};
 use crate::script::{Digest, Rng};
@@ -64,7 +64,7 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
         ..Default::default()
     };
     let mut generate_ms = Vec::new();
-    let (g, setup) = repeat_setup(|| {
+    let g = repeat_setup(&mut out, || {
         let t0 = Instant::now();
         let g = generate(KIND, SCALE, GRAPH_SEED);
         generate_ms.push(ms_since(t0));
@@ -76,7 +76,6 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
         FreeHgc::default().condense(&g, &warm.spec());
         g
     });
-    out.setup_s = setup;
 
     let clock = Clock::start(cfg.seconds, cfg.tracer.is_some());
     let mut log = OutputLog::default();
@@ -84,12 +83,12 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
     let mut caches = CacheTotals::default();
     let mut counts = Default::default();
     for (i, op) in script(cfg.seed).enumerate() {
-        if !clock.more() {
+        // A round is one pass over the ratio cycle.
+        if i % RATIOS.len() == 0 && !clock.more() {
             break;
         }
-        out.attempted += 1;
         let spec = op.spec();
-        let t0 = Instant::now();
+        let timer = OpTimer::start();
         let result = match cfg.tracer {
             None => catch(|| FreeHgc::default().condense(&g, &spec)),
             Some(t) => catch(|| {
@@ -103,12 +102,11 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
                 })
             }),
         };
-        let ms = ms_since(t0);
+        let (ms, cpu) = timer.stop();
+        out.op(result.is_some(), ms, cpu);
         let Some(c) = result else {
-            out.failed += 1;
             continue;
         };
-        out.latencies_ms.push(ms);
         clock.succeeded();
         validate(&mut out, &g, &c, "cold condense");
         log.push(i, fingerprint(&c));

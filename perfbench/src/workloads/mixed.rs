@@ -1,19 +1,22 @@
 //! `serve-mixed` — front-door traffic over TCP, writes and evictions
 //! beside reads.
 //!
-//! Two `ServeClient` connections each send cycles of 20 requests, in a
-//! seeded order within each cycle:
+//! One client thread sends cycles of 20 requests over a `ServeClient`
+//! connection, in a seeded order within each cycle:
 //!
 //! | class | per cycle | what |
 //! |---|---|---|
-//! | memo | 6 | repeat of one of the client's recently completed keys (reply memo) |
+//! | memo | 6 | repeat of one of the recently completed keys (reply memo) |
 //! | ping, stats | 1 + 1 | answered inline |
 //! | warm | 2 | FreeHGC, fresh seed, ACM or IMDB ×2 (warm registry contexts) |
-//! | delta | 3 + 3 | `ApplyDelta` (edge adds) on the client's own DBLP ×1 graph, then a FreeHGC read of the mutated graph |
+//! | delta | 3 + 3 | `ApplyDelta` (edge adds) on a live DBLP ×1 graph, then a FreeHGC read of the mutated graph |
 //! | cold | 2 | FreeHGC on a `GraphRef::Inline` ACM ×0.5 spec, run in the worker pool |
-//! | coalesce | 2 | both clients send one identical, never-seen key at once |
+//! | coalesce | 2 | one never-seen key sent at once on this and a second connection |
 //!
-//! Inline specs come from a pool of [`INLINE_POOL`] per client: the
+//! The two requests of a coalesced pair are in flight together and
+//! share the pair's CPU time; every other request is alone in flight.
+//!
+//! Inline specs come from a pool of [`INLINE_POOL`]: the
 //! first request of each is first sight (the catalog generates and keeps
 //! it — its inline map never evicts, a known defect this workload keeps
 //! visible in `peak_rss_mb`); later requests of a spec find its context
@@ -33,7 +36,7 @@ use super::served::{
 };
 use super::{
     accuracy_probe, compose_layers, ms_since, overhead_pct, repeat_setup, stage_layers, Clock,
-    RunCfg, GRAPH_SEED,
+    OpTimer, RunCfg, GRAPH_SEED,
 };
 use crate::metrics::{Outcome, OutputLog};
 use crate::script::{Digest, Rng};
@@ -48,7 +51,7 @@ use freehgc_serve::{
     CondensedSummary, GraphRef, Reply, Request, ServeClient, ServeConfig, ServeHandle, TcpServer,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Warm registered graphs: (id, kind, scale).
@@ -56,6 +59,7 @@ const WARM: [(&str, DatasetKind, f64); 2] = [
     ("ACM", DatasetKind::Acm, 2.0),
     ("IMDB", DatasetKind::Imdb, 2.0),
 ];
+const LIVE_ID: &str = "DBLP-live";
 const LIVE_KIND: DatasetKind = DatasetKind::Dblp;
 const LIVE_SCALE: f64 = 1.0;
 const INLINE_KIND: &str = "ACM";
@@ -68,19 +72,14 @@ const RATIOS: [f64; 3] = [0.0125, 0.025, 0.05];
 /// contexts, so least-recently-used eviction takes those and leaves the
 /// warm graphs resident; below the ever-growing working set.
 pub const RESIDENT_BUDGET: u64 = 32 << 20;
-const CLIENTS: usize = 2;
 const WARM_SEED: u64 = u64::MAX;
-/// Memo repeats pick among this many of the client's latest completed
-/// keys, well inside the server's 256-entry reply memo.
+/// Memo repeats pick among this many of the latest completed keys, well
+/// inside the server's 256-entry reply memo.
 const RECENT: usize = 16;
 /// Edges added by one delta.
 const DELTA_EDGES: usize = 4;
 const SAMPLE_EVERY: usize = 23;
-const MAX_SAMPLES: usize = 10;
-
-fn live_id(client: usize) -> String {
-    format!("DBLP-live-{client}")
-}
+const MAX_SAMPLES: usize = 20;
 
 /// One slot of a cycle, with everything random already drawn.
 #[derive(Clone, Debug, PartialEq)]
@@ -109,7 +108,7 @@ pub enum Slot {
 }
 
 /// The slots of cycle `n`, in canonical order, seeds not yet drawn (a
-/// delta slot is two requests). Every cycle does the same work: one warm
+/// delta slot and the coalesce slot are two requests each). Every cycle does the same work: one warm
 /// read per warm graph (the ratio rotating with `n`) and one delta per
 /// relation of the live graph; only order and seeds are random.
 fn cycle(n: usize) -> Vec<Slot> {
@@ -126,7 +125,7 @@ fn cycle(n: usize) -> Vec<Slot> {
         read_seed: 0,
     }));
     v.extend(vec![Slot::Cold { seed: 0 }; 2]);
-    v.extend(vec![Slot::Coalesce; 2]);
+    v.push(Slot::Coalesce);
     v
 }
 
@@ -136,9 +135,9 @@ pub struct Script {
     pending: Vec<Slot>,
 }
 
-pub fn script(seed: u64, client: usize) -> Script {
+pub fn script(seed: u64) -> Script {
     Script {
-        rng: Rng::new(seed).fork(client as u64),
+        rng: Rng::new(seed),
         cycles: 0,
         pending: Vec::new(),
     }
@@ -177,10 +176,8 @@ impl Iterator for Script {
 
 pub fn script_digest(seed: u64) -> Digest {
     let mut d = Digest::default();
-    for c in 0..CLIENTS {
-        for slot in script(seed, c).take(200) {
-            d.str(&format!("{slot:?}"));
-        }
+    for slot in script(seed).take(200) {
+        d.str(&format!("{slot:?}"));
     }
     d
 }
@@ -203,7 +200,7 @@ fn delta_of(g: &HeteroGraph, edge: usize, draws: &[u64]) -> GraphDelta {
     delta
 }
 
-/// The `k`-th coalesced request, identical for both clients.
+/// The `k`-th coalesced request.
 fn coalesce_request(seed: u64, k: u64) -> (usize, f64, u64) {
     let mut rng = Rng::new(seed ^ 0xc0a1_e5ce).fork(k);
     let graph = (k % WARM.len() as u64) as usize;
@@ -214,57 +211,27 @@ fn coalesce_request(seed: u64, k: u64) -> (usize, f64, u64) {
     )
 }
 
-/// The inline spec seed of a client's `n`-th cold request.
-fn inline_seed(seed: u64, client: usize, n: u64) -> u64 {
-    Rng::new(seed ^ 0x1d11_e5ed).fork(client as u64).next_u64() ^ (n % INLINE_POOL)
+/// The inline spec seed of the `n`-th cold request.
+fn inline_seed(seed: u64, n: u64) -> u64 {
+    Rng::new(seed ^ 0x1d11_e5ed).next_u64() ^ (n % INLINE_POOL)
 }
 
-/// A two-party meeting point that a finished client closes, so its
-/// partner never waits for it.
-#[derive(Default)]
-struct Rendezvous {
-    state: Mutex<(u64, usize, bool)>,
-    cv: Condvar,
-}
-
-impl Rendezvous {
-    /// Waits for the other client; `false` once either has finished.
-    fn meet(&self) -> bool {
-        let mut st = self.state.lock().expect("rendezvous lock");
-        if st.2 {
-            return false;
-        }
-        st.1 += 1;
-        if st.1 == CLIENTS {
-            st.0 += 1;
-            st.1 = 0;
-            self.cv.notify_all();
-            return true;
-        }
-        let generation = st.0;
-        while st.0 == generation && !st.2 {
-            st = self.cv.wait(st).expect("rendezvous lock");
-        }
-        st.0 != generation
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("rendezvous lock").2 = true;
-        self.cv.notify_all();
-    }
-}
+/// Request ids of coalesced pairs, sent as raw frames, start here so
+/// they never meet the ids `ServeClient::call` numbers from 1.
+const PAIR_IDS: u64 = 1 << 62;
 
 struct Server {
     tcp: TcpServer,
     warm: Vec<Arc<HeteroGraph>>,
-    clients: Vec<ServeClient>,
+    /// The client's two connections; the second carries the other half
+    /// of each coalesced pair.
+    conns: Option<(ServeClient, ServeClient)>,
 }
 
 #[derive(Default)]
 struct ClientResult {
-    attempted: u64,
-    failed: u64,
-    latencies_ms: Vec<f64>,
+    /// Operations, their times and output mismatches.
+    ops: Outcome,
     by_class: BTreeMap<&'static str, Vec<f64>>,
     ping_us: Vec<f64>,
     log: OutputLog,
@@ -272,13 +239,11 @@ struct ClientResult {
     /// Inline samples resolve their graph after the run.
     inline_samples: Vec<(u64, f64, u64, CondensedSummary)>,
     last_delta_read: Option<Sample>,
-    coalesced: BTreeMap<u64, (u64, u64)>,
     delta_reused: u64,
     delta_dropped: u64,
     errors: ErrorTally,
     replays: Replays,
     wire: (Vec<f64>, Vec<f64>, Vec<f64>),
-    problems: Vec<String>,
 }
 
 struct Shared<'a> {
@@ -288,26 +253,49 @@ struct Shared<'a> {
     mirrors: &'a [CondenseContext<'static>],
     warm_keys: &'a [(Request, CondensedSummary)],
     clock: &'a Clock,
-    meet: &'a Rendezvous,
 }
 
-fn client(c: usize, mut conn: ServeClient, sh: &Shared<'_>) -> ClientResult {
+/// Sends `req` on both connections before reading either reply, so the
+/// server sees two identical requests in flight at once.
+fn call_pair(
+    a: &mut ServeClient,
+    b: &mut ServeClient,
+    k: u64,
+    req: &Request,
+) -> std::io::Result<(Reply, Reply)> {
+    let ids = (PAIR_IDS + 2 * k, PAIR_IDS + 2 * k + 1);
+    a.send_raw(&wire::encode_request(ids.0, req))?;
+    b.send_raw(&wire::encode_request(ids.1, req))?;
+    let (ra, reply_a) = a.read_reply()?;
+    let (rb, reply_b) = b.read_reply()?;
+    if (ra, rb) != ids {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("pair replies {ra}, {rb} do not echo requests {ids:?}"),
+        ));
+    }
+    Ok((reply_a, reply_b))
+}
+
+fn client(a: &mut ServeClient, b: &mut ServeClient, sh: &Shared<'_>) -> ClientResult {
     let mut r = ClientResult::default();
     let seed = sh.cfg.seed;
-    // Keys this client saw complete, with their replies: the memo pool.
+    // Keys seen complete, with their replies: the memo pool.
     let mut recent: VecDeque<(Request, CondensedSummary)> = sh.warm_keys.iter().cloned().collect();
     let (mut colds, mut coalesces) = (0u64, 0u64);
     let mut live = sh
         .handle
         .catalog()
-        .get(&live_id(c))
+        .get(LIVE_ID)
         .expect("live graph registered");
     let mut index = 0usize;
-    for slot in script(seed, c) {
-        if !sh.clock.more() {
+    let cycle_len = cycle(0).len();
+    for (n, slot) in script(seed).enumerate() {
+        if n % cycle_len == 0 && !sh.clock.more() {
             break;
         }
-        // Each slot expands to its (class, request) pairs.
+        // Each slot expands to its (class, request) pairs; a coalesced
+        // pair is one request sent twice at once.
         let mut ops: Vec<(&'static str, Request)> = Vec::new();
         match &slot {
             Slot::Memo { pick } => {
@@ -334,14 +322,14 @@ fn client(c: usize, mut conn: ServeClient, sh: &Shared<'_>) -> ClientResult {
                 ops.push((
                     "write",
                     Request::ApplyDelta {
-                        graph_id: live_id(c),
+                        graph_id: LIVE_ID.into(),
                         delta: delta_of(&live, *edge, draws),
                     },
                 ));
                 ops.push((
                     "delta",
                     condense(
-                        GraphRef::Id(live_id(c)),
+                        GraphRef::Id(LIVE_ID.into()),
                         "FreeHGC",
                         RATIOS[1],
                         *read_seed,
@@ -353,18 +341,13 @@ fn client(c: usize, mut conn: ServeClient, sh: &Shared<'_>) -> ClientResult {
                 let inline = GraphRef::Inline {
                     kind: INLINE_KIND.into(),
                     scale: INLINE_SCALE,
-                    seed: inline_seed(sh.cfg.seed, c, colds),
+                    seed: inline_seed(sh.cfg.seed, colds),
                 };
                 colds += 1;
                 ops.push(("cold", condense(inline, "FreeHGC", RATIOS[2], *seed, HOPS)));
             }
             Slot::Coalesce => {
-                let k = coalesces;
-                coalesces += 1;
-                if !sh.meet.meet() {
-                    continue;
-                }
-                let (g, ratio, s) = coalesce_request(seed, k);
+                let (g, ratio, s) = coalesce_request(seed, coalesces);
                 ops.push((
                     "coalesce",
                     condense(GraphRef::Id(WARM[g].0.into()), "FreeHGC", ratio, s, HOPS),
@@ -373,8 +356,7 @@ fn client(c: usize, mut conn: ServeClient, sh: &Shared<'_>) -> ClientResult {
         }
         for (class, req) in ops {
             let i = index;
-            index += 1;
-            let rid = ((c as u64) << 32) | i as u64;
+            let rid = i as u64;
             if let Some(t) = sh.cfg.tracer {
                 let t0 = Instant::now();
                 let frame = t.scope("wire.encode", None, rid, |_| {
@@ -383,150 +365,158 @@ fn client(c: usize, mut conn: ServeClient, sh: &Shared<'_>) -> ClientResult {
                 r.wire.0.push(ms_since(t0) * 1e3);
                 std::hint::black_box(frame);
             }
-            let t0 = Instant::now();
-            let result = match sh.cfg.tracer {
-                Some(t) => t.scope("tcp.call", None, rid, |_| conn.call(&req)),
-                None => conn.call(&req),
+            let timer = OpTimer::start();
+            let result = match (class, sh.cfg.tracer) {
+                ("coalesce", Some(t)) => t.scope("tcp.call", None, rid, |_| {
+                    call_pair(a, b, coalesces, &req).map(|(x, y)| vec![x, y])
+                }),
+                ("coalesce", None) => call_pair(a, b, coalesces, &req).map(|(x, y)| vec![x, y]),
+                (_, Some(t)) => t.scope("tcp.call", None, rid, |_| a.call(&req).map(|x| vec![x])),
+                (_, None) => a.call(&req).map(|x| vec![x]),
             };
-            let ms = ms_since(t0);
-            r.attempted += 1;
-            if is_failure(result.as_ref()) {
-                r.failed += 1;
-            }
-            let reply = match result {
-                Ok(reply) => reply,
+            let (ms, cpu) = timer.stop();
+            let replies = match result {
+                Ok(replies) => replies,
                 Err(e) => {
-                    // The connection is gone: this client stops here.
-                    eprintln!("perfbench: client {c}: transport error {e}");
-                    sh.meet.close();
+                    // The connection is gone: the client stops here.
+                    r.ops.op(false, ms, cpu);
+                    eprintln!("perfbench: transport error {e}");
                     return r;
                 }
             };
-            if let Some(t) = sh.cfg.tracer {
-                let bytes = wire::encode_reply(rid, &reply);
-                r.wire.2.push(bytes.len() as f64);
-                let t0 = Instant::now();
-                let decoded = t.scope("wire.decode", None, rid, |_| wire::decode_reply(&bytes));
-                r.wire.1.push(ms_since(t0) * 1e3);
-                if decoded.map(|(_, back)| back) != Ok(reply.clone()) {
-                    r.problems
-                        .push(format!("request {rid}: reply does not round-trip the wire"));
+            if class == "coalesce" {
+                coalesces += 1;
+                if replies[0] != replies[1] {
+                    r.ops.problem(format!(
+                        "coalesced pair {}: the two connections got different replies",
+                        coalesces - 1
+                    ));
                 }
             }
-            if reply.error_code().is_some() {
-                r.errors.add(class, &reply);
-                continue;
-            }
-            sh.clock.succeeded();
-            r.latencies_ms.push(ms);
-            r.by_class.entry(class).or_default().push(ms);
-            match (class, &req, reply) {
-                ("ping", _, Reply::Pong) => r.ping_us.push(ms * 1e3),
-                ("stats", _, Reply::Stats(_)) => {}
-                (
-                    "write",
-                    Request::ApplyDelta { graph_id, .. },
-                    Reply::DeltaApplied {
-                        new_fingerprint,
-                        reused_entries,
-                        dropped_entries,
-                    },
-                ) => {
-                    live = sh
-                        .handle
-                        .catalog()
-                        .get(graph_id)
-                        .expect("live graph registered");
-                    let fp = live.fingerprint();
-                    if (fp.0, fp.1) != new_fingerprint {
-                        r.problems
-                            .push(format!("{graph_id}: delta reply names another graph"));
+            // The requests of a pair share its CPU time.
+            let share = replies.len() as f64;
+            for reply in replies {
+                index += 1;
+                let ok = !is_failure(Ok(&reply));
+                r.ops.op(ok, ms, cpu / share);
+                if let Some(t) = sh.cfg.tracer {
+                    let bytes = wire::encode_reply(rid, &reply);
+                    r.wire.2.push(bytes.len() as f64);
+                    let t0 = Instant::now();
+                    let decoded = t.scope("wire.decode", None, rid, |_| wire::decode_reply(&bytes));
+                    r.wire.1.push(ms_since(t0) * 1e3);
+                    if decoded.map(|(_, back)| back) != Ok(reply.clone()) {
+                        r.ops
+                            .problem(format!("request {rid}: reply does not round-trip the wire"));
                     }
-                    r.delta_reused += reused_entries;
-                    r.delta_dropped += dropped_entries;
-                    r.log.push(i, new_fingerprint);
                 }
-                (
-                    _,
-                    Request::Condense {
-                        graph, ratio, seed, ..
-                    },
-                    Reply::Condensed(s),
-                ) => {
-                    r.log.push(i, s.fingerprint);
-                    let spec = spec_of(*ratio, *seed, HOPS);
-                    match class {
-                        "memo" => {
+                if !ok {
+                    r.errors.add(class, &reply);
+                    continue;
+                }
+                sh.clock.succeeded();
+                r.by_class.entry(class).or_default().push(ms);
+                match (class, &req, reply) {
+                    ("ping", _, Reply::Pong) => r.ping_us.push(ms * 1e3),
+                    ("stats", _, Reply::Stats(_)) => {}
+                    (
+                        "write",
+                        Request::ApplyDelta { graph_id, .. },
+                        Reply::DeltaApplied {
+                            new_fingerprint,
+                            reused_entries,
+                            dropped_entries,
+                        },
+                    ) => {
+                        live = sh
+                            .handle
+                            .catalog()
+                            .get(graph_id)
+                            .expect("live graph registered");
+                        let fp = live.fingerprint();
+                        if (fp.0, fp.1) != new_fingerprint {
+                            r.ops
+                                .problem(format!("{graph_id}: delta reply names another graph"));
+                        }
+                        r.delta_reused += reused_entries;
+                        r.delta_dropped += dropped_entries;
+                        r.log.push(i, new_fingerprint);
+                    }
+                    (
+                        _,
+                        Request::Condense {
+                            graph, ratio, seed, ..
+                        },
+                        Reply::Condensed(s),
+                    ) => {
+                        r.log.push(i, s.fingerprint);
+                        let spec = spec_of(*ratio, *seed, HOPS);
+                        if class == "memo" {
                             let original = recent.iter().find(|(q, _)| q == &req).map(|(_, s)| s);
                             if original != Some(&s) {
-                                r.problems
-                                    .push(format!("request {rid}: memo reply differs"));
+                                r.ops.problem(format!("request {rid}: memo reply differs"));
                             }
                         }
-                        "coalesce" => {
-                            r.coalesced.insert(coalesces - 1, s.fingerprint);
-                        }
-                        _ => {}
-                    }
-                    if class == "warm" {
-                        if let (Some(t), GraphRef::Id(id)) = (sh.cfg.tracer, graph) {
-                            let g = WARM.iter().position(|w| w.0 == id).expect("warm graph");
-                            r.replays.replay(
-                                &mut r.problems,
-                                t,
-                                &sh.mirrors[g],
-                                &spec,
-                                rid,
-                                s.fingerprint,
-                            );
-                        }
-                    }
-                    if class == "delta" {
-                        // Only the latest read of the mutated graph is
-                        // kept: older versions are not pinned in memory.
-                        r.last_delta_read = Some(Sample {
-                            graph: Arc::clone(&live),
-                            method: "FreeHGC".into(),
-                            spec,
-                            reply: s.clone(),
-                        });
-                    } else if i.is_multiple_of(SAMPLE_EVERY)
-                        && r.samples.len() + r.inline_samples.len() < MAX_SAMPLES
-                    {
-                        match graph {
-                            GraphRef::Inline { seed: gs, .. } => {
-                                r.inline_samples.push((*gs, *ratio, *seed, s.clone()))
-                            }
-                            GraphRef::Id(id) => {
-                                let w = WARM.iter().position(|w| w.0 == id).expect("warm graph");
-                                r.samples.push(Sample {
-                                    graph: Arc::clone(&sh.warm[w]),
-                                    method: "FreeHGC".into(),
-                                    spec,
-                                    reply: s.clone(),
-                                });
+                        if class == "warm" {
+                            if let (Some(t), GraphRef::Id(id)) = (sh.cfg.tracer, graph) {
+                                let g = WARM.iter().position(|w| w.0 == id).expect("warm graph");
+                                r.replays.replay(
+                                    &mut r.ops.problems,
+                                    t,
+                                    &sh.mirrors[g],
+                                    &spec,
+                                    rid,
+                                    s.fingerprint,
+                                );
                             }
                         }
-                    }
-                    if class != "delta" && class != "memo" {
-                        recent.push_back((req.clone(), s));
-                        if recent.len() > RECENT {
-                            recent.pop_front();
+                        if class == "delta" {
+                            // Only the latest read of the mutated graph is
+                            // kept: older versions are not pinned in memory.
+                            r.last_delta_read = Some(Sample {
+                                graph: Arc::clone(&live),
+                                method: "FreeHGC".into(),
+                                spec,
+                                reply: s.clone(),
+                            });
+                        } else if i.is_multiple_of(SAMPLE_EVERY)
+                            && r.samples.len() + r.inline_samples.len() < MAX_SAMPLES
+                        {
+                            match graph {
+                                GraphRef::Inline { seed: gs, .. } => {
+                                    r.inline_samples.push((*gs, *ratio, *seed, s.clone()))
+                                }
+                                GraphRef::Id(id) => {
+                                    let w =
+                                        WARM.iter().position(|w| w.0 == id).expect("warm graph");
+                                    r.samples.push(Sample {
+                                        graph: Arc::clone(&sh.warm[w]),
+                                        method: "FreeHGC".into(),
+                                        spec,
+                                        reply: s.clone(),
+                                    });
+                                }
+                            }
+                        }
+                        if class != "delta" && class != "memo" {
+                            recent.push_back((req.clone(), s));
+                            if recent.len() > RECENT {
+                                recent.pop_front();
+                            }
                         }
                     }
+                    (_, _, other) => r.ops.problem(format!(
+                        "request {rid} ({class}): unexpected reply {other:?}"
+                    )),
                 }
-                (_, _, other) => r.problems.push(format!(
-                    "request {rid} ({class}): unexpected reply {other:?}"
-                )),
             }
         }
     }
-    sh.meet.close();
     r
 }
 
-/// The warm-up's completed keys and replies: each client's memo pool
-/// before any measured request completes.
+/// The warm-up's completed keys and replies: the memo pool before any
+/// measured request completes.
 fn warm_keys(handle: &ServeHandle) -> Vec<(Request, CondensedSummary)> {
     (0..WARM.len())
         .map(|g| {
@@ -556,18 +546,14 @@ fn build(generate_ms: &mut Vec<f64>) -> Server {
         .iter()
         .map(|&(_, kind, scale)| Arc::new(generate(kind, scale, GRAPH_SEED)))
         .collect();
-    let live: Vec<HeteroGraph> = (0..CLIENTS)
-        .map(|c| generate(LIVE_KIND, LIVE_SCALE, GRAPH_SEED + 1 + c as u64))
-        .collect();
+    let live = generate(LIVE_KIND, LIVE_SCALE, GRAPH_SEED + 1);
     generate_ms.push(ms_since(t0));
     for (w, g) in WARM.iter().zip(&warm) {
         handle.register_graph(w.0, Arc::clone(g));
     }
-    for (c, g) in live.into_iter().enumerate() {
-        handle.register_graph(live_id(c), Arc::new(g));
-    }
+    handle.register_graph(LIVE_ID, Arc::new(live));
     let mut ids: Vec<String> = WARM.iter().map(|w| w.0.to_string()).collect();
-    ids.extend((0..CLIENTS).map(live_id));
+    ids.push(LIVE_ID.into());
     for id in &ids {
         for &ratio in &RATIOS {
             let req = condense(GraphRef::Id(id.clone()), "FreeHGC", ratio, WARM_SEED, HOPS);
@@ -576,10 +562,9 @@ fn build(generate_ms: &mut Vec<f64>) -> Server {
         }
     }
     let tcp = TcpServer::bind(handle, "127.0.0.1:0").expect("bind a loopback port");
-    let clients = (0..CLIENTS)
-        .map(|_| ServeClient::connect(tcp.addr()).expect("connect to the loopback server"))
-        .collect();
-    Server { tcp, warm, clients }
+    let connect = || ServeClient::connect(tcp.addr()).expect("connect to the loopback server");
+    let conns = Some((connect(), connect()));
+    Server { tcp, warm, conns }
 }
 
 pub fn run(cfg: &RunCfg<'_>) -> Outcome {
@@ -588,8 +573,7 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
         ..Default::default()
     };
     let mut generate_ms = Vec::new();
-    let (mut server, setup) = repeat_setup(|| build(&mut generate_ms));
-    out.setup_s = setup;
+    let mut server = repeat_setup(&mut out, || build(&mut generate_ms));
     let handle = server.tcp.handle().clone();
     let mirrors: Vec<CondenseContext<'static>> = match cfg.tracer {
         Some(_) => server
@@ -608,7 +592,6 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
     let before = Before::take(&handle);
     let caches_before = registry_caches(&handle, &server.warm);
     let clock = Clock::start(cfg.seconds, cfg.tracer.is_some());
-    let meet = Rendezvous::default();
     let sh = Shared {
         cfg,
         handle: &handle,
@@ -616,118 +599,79 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
         mirrors: &mirrors,
         warm_keys: &warm_keys(&handle),
         clock: &clock,
-        meet: &meet,
     };
-    let conns = std::mem::take(&mut server.clients);
-    let results: Vec<ClientResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = conns
-            .into_iter()
-            .enumerate()
-            .map(|(c, conn)| {
-                let sh = &sh;
-                s.spawn(move || client(c, conn, sh))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
+    let (mut a, mut b) = server.conns.take().expect("connections of the kept set-up");
+    let r = client(&mut a, &mut b, &sh);
     out.wall_s = clock.elapsed_s();
+    drop((a, b));
 
     if let Some(t) = cfg.tracer {
-        let sent = results
+        let sent = r
+            .by_class
             .iter()
-            .flat_map(|r| r.by_class.iter())
             .filter(|(class, _)| !matches!(**class, "ping" | "stats" | "write"))
             .map(|(_, xs)| xs.len() as u64)
             .sum::<u64>()
-            + results.iter().map(|r| r.failed).sum::<u64>();
+            + r.ops.failed;
         before.report(&mut out, &handle, sent);
         registry_caches(&handle, &server.warm)
             .since(&caches_before)
             .report(&mut out);
-        traced_layers(&mut out, t, &results, &generate_ms);
+        traced_layers(&mut out, t, &r, &generate_ms);
     }
 
-    // Both clients' k-th coalesced replies must agree.
-    let (a, b) = (&results[0].coalesced, &results[1].coalesced);
-    for (k, fp) in a {
-        if b.get(k).is_some_and(|other| other != fp) {
-            out.problem(format!(
-                "coalesced request {k}: the two clients got different replies"
-            ));
-        }
+    let mut samples = r.samples;
+    samples.extend(r.last_delta_read);
+    for (gs, ratio, seed, reply) in r.inline_samples {
+        let graph = handle
+            .catalog()
+            .resolve(&GraphRef::Inline {
+                kind: INLINE_KIND.into(),
+                scale: INLINE_SCALE,
+                seed: gs,
+            })
+            .expect("inline spec resolves");
+        samples.push(Sample {
+            graph,
+            method: "FreeHGC".into(),
+            spec: spec_of(ratio, seed, HOPS),
+            reply,
+        });
     }
-    let mut errors = ErrorTally::default();
-    let mut samples = Vec::new();
-    let mut logs = Vec::new();
-    for r in results {
-        out.attempted += r.attempted;
-        out.failed += r.failed;
-        out.latencies_ms.extend(r.latencies_ms);
-        out.problems.extend(r.problems);
-        errors.merge(r.errors);
-        samples.extend(r.samples);
-        samples.extend(r.last_delta_read);
-        for (gs, ratio, seed, reply) in r.inline_samples {
-            let graph = handle
-                .catalog()
-                .resolve(&GraphRef::Inline {
-                    kind: INLINE_KIND.into(),
-                    scale: INLINE_SCALE,
-                    seed: gs,
-                })
-                .expect("inline spec resolves");
-            samples.push(Sample {
-                graph,
-                method: "FreeHGC".into(),
-                spec: spec_of(ratio, seed, HOPS),
-                reply,
-            });
-        }
-        logs.push(r.log);
-    }
-    out.absorb_outputs(&logs);
-    errors.print();
+    out.absorb_ops(r.ops);
+    out.absorb_outputs(&[r.log]);
+    r.errors.print();
     check_samples(&mut out, &handle, &samples);
     out.test_acc_pct = accuracy_probe(&server.warm[0], RATIOS[1], 0);
     out
 }
 
-fn traced_layers(out: &mut Outcome, t: &Tracer, results: &[ClientResult], generate_ms: &[f64]) {
-    let gather = |f: &dyn Fn(&ClientResult) -> &Vec<f64>| -> Vec<f64> {
-        results.iter().flat_map(|r| f(r).iter().copied()).collect()
-    };
+fn traced_layers(out: &mut Outcome, t: &Tracer, r: &ClientResult, generate_ms: &[f64]) {
     for (class, metric) in [
         ("memo", "class.memo.p50_ms"),
         ("warm", "class.warm.p50_ms"),
         ("delta", "class.delta.p50_ms"),
         ("cold", "class.cold.p50_ms"),
     ] {
-        let ms: Vec<f64> = results
-            .iter()
-            .flat_map(|r| r.by_class.get(class).into_iter().flatten().copied())
-            .collect();
+        let ms = r.by_class.get(class).cloned().unwrap_or_default();
         out.layer(metric, p50(&ms));
     }
-    out.layer("tcp.ping_p50_us", p50(&gather(&|r| &r.ping_us)));
-    out.layer("wire.encode_us", p50(&gather(&|r| &r.wire.0)));
-    out.layer("wire.decode_us", p50(&gather(&|r| &r.wire.1)));
-    out.layer("wire.reply_bytes", p50(&gather(&|r| &r.wire.2)));
-    let reused: u64 = results.iter().map(|r| r.delta_reused).sum();
-    let dropped: u64 = results.iter().map(|r| r.delta_dropped).sum();
+    out.layer("tcp.ping_p50_us", p50(&r.ping_us));
+    out.layer("wire.encode_us", p50(&r.wire.0));
+    out.layer("wire.decode_us", p50(&r.wire.1));
+    out.layer("wire.reply_bytes", p50(&r.wire.2));
     out.layer(
         "registry.delta_reused_share",
-        share(reused, reused + dropped),
+        share(r.delta_reused, r.delta_reused + r.delta_dropped),
     );
-    let staged = gather(&|r| &r.replays.staged_ms);
-    let plain = gather(&|r| &r.replays.plain_ms);
     stage_layers(out, t);
-    compose_layers(out, results[0].replays.counts);
-    out.layer("method.FreeHGC.p50_ms", p50(&plain));
+    compose_layers(out, r.replays.counts);
+    out.layer("method.FreeHGC.p50_ms", p50(&r.replays.plain_ms));
     out.layer("datasets.generate_ms", p50(generate_ms));
-    out.layer("trace.overhead_pct", overhead_pct(&staged, &plain));
+    out.layer(
+        "trace.overhead_pct",
+        overhead_pct(&r.replays.staged_ms, &r.replays.plain_ms),
+    );
 }
 
 #[cfg(test)]
@@ -738,16 +682,17 @@ mod tests {
     fn same_seed_same_script_and_fixed_shares() {
         assert_eq!(script_digest(11), script_digest(11));
         assert_ne!(script_digest(11), script_digest(12));
-        let slots: Vec<Slot> = script(11, 0).take(3 * cycle(0).len()).collect();
+        let slots: Vec<Slot> = script(11).take(3 * cycle(0).len()).collect();
         let count = |f: fn(&Slot) -> bool| slots.iter().filter(|s| f(s)).count();
         assert_eq!(count(|s| matches!(s, Slot::Memo { .. })), 18);
         assert_eq!(count(|s| matches!(s, Slot::Cold { .. })), 6);
         assert_eq!(count(|s| matches!(s, Slot::Delta { .. })), 9);
         assert_eq!(count(|s| matches!(s, Slot::Warm { .. })), 6);
-        // A delta slot is two requests: 20 requests per cycle.
-        assert_eq!(cycle(0).len() + 3, 20);
+        assert_eq!(count(|s| matches!(s, Slot::Coalesce)), 3);
+        // Delta and coalesce slots are two requests: 20 per cycle.
+        assert_eq!(cycle(0).len() + 3 + 1, 20);
         // Each cycle warms every graph once and mutates every relation.
-        let cycle0: Vec<Slot> = script(11, 0).take(cycle(0).len()).collect();
+        let cycle0: Vec<Slot> = script(11).take(cycle(0).len()).collect();
         let mut edges: Vec<usize> = cycle0
             .iter()
             .filter_map(|s| match s {
@@ -757,25 +702,10 @@ mod tests {
             .collect();
         edges.sort();
         assert_eq!(edges, vec![0, 1, 2]);
-        assert_eq!(count(|s| matches!(s, Slot::Coalesce)), 6);
-        // Coalesced keys are shared by both clients; inline specs are
-        // per client and recur after the pool is used up.
         assert_eq!(coalesce_request(11, 3), coalesce_request(11, 3));
         assert_ne!(coalesce_request(11, 3), coalesce_request(11, 4));
-        assert_ne!(inline_seed(11, 0, 0), inline_seed(11, 1, 0));
-        assert_eq!(inline_seed(11, 0, 1), inline_seed(11, 0, 1 + INLINE_POOL));
-    }
-
-    #[test]
-    fn rendezvous_releases_a_waiter_when_closed() {
-        let meet = Rendezvous::default();
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| meet.meet());
-            // Let the waiter arrive first or not: either way close()
-            // must release it with `false`.
-            meet.close();
-            assert!(!waiter.join().unwrap());
-        });
-        assert!(!meet.meet());
+        // Inline specs recur once the pool is used up.
+        assert_ne!(inline_seed(11, 0), inline_seed(11, 1));
+        assert_eq!(inline_seed(11, 1), inline_seed(11, 1 + INLINE_POOL));
     }
 }

@@ -7,6 +7,7 @@ mod served;
 mod sweep;
 mod train;
 
+use crate::machine::process_cpu_ms;
 use crate::metrics::Outcome;
 use crate::stats::{self, p50};
 use crate::trace::Tracer;
@@ -58,7 +59,9 @@ pub fn run(name: &str, cfg: &RunCfg<'_>) -> Outcome {
     }
 }
 
-/// Shared stop condition of a measured phase's closed-loop clients.
+/// Stop condition of a measured phase's closed-loop client. Workloads
+/// ask it only at the start of a script round, so every run holds whole
+/// rounds and each request class its exact share.
 pub struct Clock {
     start: Instant,
     seconds: f64,
@@ -78,7 +81,7 @@ impl Clock {
         }
     }
 
-    /// Whether a client should send its next request.
+    /// Whether the client should start its next round.
     pub fn more(&self) -> bool {
         let t = self.elapsed_s();
         t < self.seconds || (self.ok.load(Ordering::Relaxed) < self.min_ok && t < HARD_STOP_S)
@@ -94,22 +97,48 @@ impl Clock {
 }
 
 /// Runs `build` [`SETUP_REPS`] times, dropping each instance before the
-/// next is built, and returns the last one with every repetition's time.
-pub fn repeat_setup<T>(mut build: impl FnMut() -> T) -> (T, Vec<f64>) {
-    let mut times = Vec::with_capacity(SETUP_REPS);
+/// next is built, records every repetition's CPU and wall time in `out`,
+/// and returns the last instance.
+pub fn repeat_setup<T>(out: &mut Outcome, mut build: impl FnMut() -> T) -> T {
     let mut last = None;
     for _ in 0..SETUP_REPS {
         drop(last.take());
-        let t0 = Instant::now();
+        let timer = OpTimer::start();
         last = Some(build());
-        times.push(t0.elapsed().as_secs_f64());
+        let (wall_ms, cpu_ms) = timer.stop();
+        out.setup_s.push(cpu_ms / 1e3);
+        out.setup_wall_s.push(wall_ms / 1e3);
     }
-    (last.expect("at least one set-up"), times)
+    last.expect("at least one set-up")
 }
 
 /// Milliseconds since `t0`.
 pub fn ms_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// Wall and process CPU time of one operation. One operation is in
+/// flight at a time (every workload has one client), so the process's
+/// CPU time across it — client, server and worker threads alike — is
+/// that operation's.
+pub struct OpTimer {
+    wall: Instant,
+    cpu_ms: f64,
+}
+
+impl OpTimer {
+    pub fn start() -> Self {
+        OpTimer {
+            cpu_ms: process_cpu_ms(),
+            wall: Instant::now(),
+        }
+    }
+
+    /// `(wall ms, CPU ms)` since [`OpTimer::start`].
+    pub fn stop(&self) -> (f64, f64) {
+        let wall = ms_since(self.wall);
+        (wall, process_cpu_ms() - self.cpu_ms)
+    }
 }
 
 /// Downstream quality of what a workload serves: FreeHGC condenses

@@ -94,12 +94,6 @@ impl ErrorTally {
         }
     }
 
-    pub fn merge(&mut self, other: ErrorTally) {
-        for (k, v) in other.0 {
-            *self.0.entry(k).or_default() += v;
-        }
-    }
-
     pub fn print(&self) {
         let parts: Vec<String> = self.0.iter().map(|(k, v)| format!("{k}={v}")).collect();
         println!(
@@ -128,7 +122,7 @@ impl Before {
     }
 
     /// Server, pool and registry counters of the measured phase.
-    /// `condense_sent` is how many condense requests the clients sent.
+    /// `condense_sent` is how many condense requests the client sent.
     pub fn report(&self, out: &mut Outcome, handle: &ServeHandle, condense_sent: u64) {
         let (b, a) = (&self.stats, handle.stats());
         let fast = a.fast_path_hits - b.fast_path_hits;

@@ -1,13 +1,15 @@
 //! `serve-sweep` — the paper's comparison grid as a warm service sees it.
 //!
-//! Two in-process clients send every served method × ratio on ACM, DBLP
+//! One in-process client sends every served method × ratio on ACM, DBLP
 //! and IMDB ×2 (at each dataset's `paper_hops`) through
 //! `ServeHandle::call`. Set-up warms one registry context per graph, so
 //! meta-path composition is already cached; every request carries a
 //! fresh seed, so every flight key is distinct and the reply memo never
-//! hits. One round of the grid per client holds, per (graph, ratio)
-//! cell, [`FREEHGC_PER_CELL`] FreeHGC requests and one of each of the
-//! six baselines: FreeHGC is 7/13 ≈ 54% of requests.
+//! hits. One round of the grid holds, per (graph, ratio) cell,
+//! [`FREEHGC_PER_CELL`] FreeHGC requests and one of each of the six
+//! baselines, except the GCond cells in [`GCOND_OOM`]: those exceed
+//! GCond's simulated device budget (a known defect), would fail, and are
+//! sent once each after the measured phase instead.
 
 use super::served::{
     check_samples, condense, is_failure, mirror_context, registry_caches, spec_of, Before,
@@ -15,7 +17,7 @@ use super::served::{
 };
 use super::{
     accuracy_probe, compose_layers, ms_since, overhead_pct, repeat_setup, stage_layers, Clock,
-    RunCfg, GRAPH_SEED,
+    OpTimer, RunCfg, GRAPH_SEED,
 };
 use crate::metrics::{Outcome, OutputLog};
 use crate::script::{Digest, Rng};
@@ -24,7 +26,7 @@ use crate::trace::Tracer;
 use freehgc_core::FreeHgc;
 use freehgc_datasets::{generate, DatasetKind};
 use freehgc_hetgraph::{CondenseContext, Condenser, HeteroGraph};
-use freehgc_serve::{default_methods, GraphRef, Reply, ServeConfig, ServeHandle};
+use freehgc_serve::{default_methods, ErrorCode, GraphRef, Reply, ServeConfig, ServeHandle};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,14 +35,18 @@ const KINDS: [DatasetKind; 3] = [DatasetKind::Acm, DatasetKind::Dblp, DatasetKin
 const SCALE: f64 = 2.0;
 const RATIOS: [f64; 3] = [0.0125, 0.025, 0.05];
 pub const FREEHGC_PER_CELL: usize = 7;
-const CLIENTS: usize = 2;
+/// (graph index, ratio) of the GCond cells whose dense working set
+/// exceeds GCond's simulated 32 MiB device budget: DBLP ×2 needs 46 MB
+/// and IMDB ×2 36 MB at ratio 0.05. The server answers them with a
+/// typed `WorkerPanic`.
+pub const GCOND_OOM: [(usize, f64); 2] = [(1, 0.05), (2, 0.05)];
 /// Seed of the set-up's warm-up requests; measured seeds are drawn from
 /// the script and never collide with it in practice.
 const WARM_SEED: u64 = u64::MAX;
-/// Every this-many-th successful reply of a client is recomputed with
-/// `condense_shared`, up to [`MAX_SAMPLES`] per client.
+/// Every this-many-th successful reply is recomputed with
+/// `condense_shared`, up to [`MAX_SAMPLES`].
 const SAMPLE_EVERY: usize = 29;
-const MAX_SAMPLES: usize = 8;
+const MAX_SAMPLES: usize = 16;
 
 fn hops(graph: usize) -> u32 {
     KINDS[graph].paper_hops() as u32
@@ -62,7 +68,11 @@ fn round() -> Vec<(usize, &'static str, f64)> {
     for graph in 0..KINDS.len() {
         for &ratio in &RATIOS {
             for &m in &methods {
-                let n = if m == "FreeHGC" { FREEHGC_PER_CELL } else { 1 };
+                let n = match m {
+                    "FreeHGC" => FREEHGC_PER_CELL,
+                    "GCond" if GCOND_OOM.contains(&(graph, ratio)) => 0,
+                    _ => 1,
+                };
                 cells.extend(std::iter::repeat_n((graph, m, ratio), n));
             }
         }
@@ -70,16 +80,16 @@ fn round() -> Vec<(usize, &'static str, f64)> {
     cells
 }
 
-/// A client's endless request sequence: shuffled rounds of the grid,
+/// The client's endless request sequence: shuffled rounds of the grid,
 /// each request with a freshly drawn seed.
 pub struct Script {
     rng: Rng,
     pending: Vec<Op>,
 }
 
-pub fn script(seed: u64, client: usize) -> Script {
+pub fn script(seed: u64) -> Script {
     Script {
-        rng: Rng::new(seed).fork(client as u64),
+        rng: Rng::new(seed),
         pending: Vec::new(),
     }
 }
@@ -113,13 +123,11 @@ impl Iterator for Script {
 
 pub fn script_digest(seed: u64) -> Digest {
     let mut d = Digest::default();
-    for c in 0..CLIENTS {
-        for op in script(seed, c).take(256) {
-            d.u64(op.graph as u64);
-            d.str(op.method);
-            d.u64(op.ratio.to_bits());
-            d.u64(op.seed);
-        }
+    for op in script(seed).take(256) {
+        d.u64(op.graph as u64);
+        d.str(op.method);
+        d.u64(op.ratio.to_bits());
+        d.u64(op.seed);
     }
     d
 }
@@ -138,27 +146,25 @@ impl Drop for Server {
 
 #[derive(Default)]
 struct ClientResult {
-    attempted: u64,
-    failed: u64,
-    latencies_ms: Vec<f64>,
+    /// Operations, their times and output mismatches.
+    ops: Outcome,
     per_method: BTreeMap<&'static str, Vec<f64>>,
     log: OutputLog,
     samples: Vec<Sample>,
     errors: ErrorTally,
     replays: Replays,
-    problems: Vec<String>,
 }
 
 fn client(
-    c: usize,
     cfg: &RunCfg<'_>,
     server: &Server,
     mirrors: &[CondenseContext<'static>],
     clock: &Clock,
 ) -> ClientResult {
     let mut r = ClientResult::default();
-    for (i, op) in script(cfg.seed, c).enumerate() {
-        if !clock.more() {
+    let round_len = round().len();
+    for (i, op) in script(cfg.seed).enumerate() {
+        if i % round_len == 0 && !clock.more() {
             break;
         }
         let req = condense(
@@ -168,33 +174,32 @@ fn client(
             op.seed,
             hops(op.graph),
         );
-        let rid = ((c as u64) << 32) | i as u64;
-        let t0 = Instant::now();
+        let rid = i as u64;
+        let timer = OpTimer::start();
         let reply = match cfg.tracer {
             Some(t) => t.scope("serve.call", None, rid, |_| server.handle.call(&req)),
             None => server.handle.call(&req),
         };
-        let ms = ms_since(t0);
-        r.attempted += 1;
-        if is_failure(Ok(&reply)) {
-            r.failed += 1;
+        let (ms, cpu) = timer.stop();
+        let failed = is_failure(Ok(&reply));
+        r.ops.op(!failed, ms, cpu);
+        if failed {
             r.errors.add(op.method, &reply);
             continue;
         }
         let Reply::Condensed(summary) = reply else {
-            r.problems
-                .push(format!("request {rid}: unexpected reply {reply:?}"));
+            r.ops
+                .problem(format!("request {rid}: unexpected reply {reply:?}"));
             continue;
         };
         clock.succeeded();
-        r.latencies_ms.push(ms);
         r.per_method.entry(op.method).or_default().push(ms);
         r.log.push(i, summary.fingerprint);
         let spec = spec_of(op.ratio, op.seed, hops(op.graph));
         if let (Some(t), "FreeHGC") = (cfg.tracer, op.method) {
             let fp = summary.fingerprint;
             r.replays
-                .replay(&mut r.problems, t, &mirrors[op.graph], &spec, rid, fp);
+                .replay(&mut r.ops.problems, t, &mirrors[op.graph], &spec, rid, fp);
         }
         if i.is_multiple_of(SAMPLE_EVERY) && r.samples.len() < MAX_SAMPLES {
             r.samples.push(Sample {
@@ -222,7 +227,7 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
         ..Default::default()
     };
     let mut generate_ms = Vec::new();
-    let (server, setup) = repeat_setup(|| {
+    let server = repeat_setup(&mut out, || {
         let t0 = Instant::now();
         let graphs: Vec<Arc<HeteroGraph>> = KINDS
             .iter()
@@ -251,7 +256,6 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
         }
         Server { handle, graphs }
     });
-    out.setup_s = setup;
 
     let mirrors: Vec<CondenseContext<'static>> = match cfg.tracer {
         Some(_) => server
@@ -269,69 +273,71 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
     let before = Before::take(&server.handle);
     let caches_before = registry_caches(&server.handle, &server.graphs);
     let clock = Clock::start(cfg.seconds, cfg.tracer.is_some());
-    let results: Vec<ClientResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let (server, mirrors, clock) = (&server, &mirrors, &clock);
-                s.spawn(move || client(c, cfg, server, mirrors, clock))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
+    let r = client(cfg, &server, &mirrors, &clock);
     out.wall_s = clock.elapsed_s();
+    let probed = oom_probe(&server);
 
     if let Some(t) = cfg.tracer {
-        let sent: u64 = results.iter().map(|r| r.attempted).sum();
-        before.report(&mut out, &server.handle, sent);
+        before.report(&mut out, &server.handle, r.ops.attempted + probed);
         registry_caches(&server.handle, &server.graphs)
             .since(&caches_before)
             .report(&mut out);
-        traced_layers(&mut out, t, &results, &generate_ms);
+        traced_layers(&mut out, t, &r, &generate_ms);
     }
 
-    let mut errors = ErrorTally::default();
-    let mut samples = Vec::new();
-    let mut logs = Vec::new();
-    for r in results {
-        out.attempted += r.attempted;
-        out.failed += r.failed;
-        out.latencies_ms.extend(r.latencies_ms);
-        out.problems.extend(r.problems);
-        errors.merge(r.errors);
-        samples.extend(r.samples);
-        logs.push(r.log);
-    }
-    out.absorb_outputs(&logs);
-    errors.print();
-    check_samples(&mut out, &server.handle, &samples);
+    out.absorb_ops(r.ops);
+    out.absorb_outputs(&[r.log]);
+    r.errors.print();
+    check_samples(&mut out, &server.handle, &r.samples);
     out.test_acc_pct = accuracy_probe(&server.graphs[1], RATIOS[1], 0);
     out
 }
 
-fn traced_layers(out: &mut Outcome, t: &Tracer, results: &[ClientResult], generate_ms: &[f64]) {
+/// Sends each cell of [`GCOND_OOM`] once, after the measured phase, and
+/// prints how the server answered: `WorkerPanic` while the defect
+/// stands. A reply that condenses is checked like any other. Returns
+/// the number of requests sent.
+fn oom_probe(server: &Server) -> u64 {
+    let mut panics = 0;
+    for &(graph, ratio) in &GCOND_OOM {
+        let req = condense(
+            GraphRef::Id(KINDS[graph].name().into()),
+            "GCond",
+            ratio,
+            0,
+            hops(graph),
+        );
+        match server.handle.call(&req) {
+            Reply::Error {
+                code: ErrorCode::WorkerPanic,
+                ..
+            } => panics += 1,
+            other => println!(
+                "defect gcond-oom: {} ratio {ratio} answered {other:?}",
+                KINDS[graph].name()
+            ),
+        }
+    }
+    println!(
+        "defect gcond-oom: {panics} of {} known-OOM GCond cells answered WorkerPanic",
+        GCOND_OOM.len()
+    );
+    GCOND_OOM.len() as u64
+}
+
+fn traced_layers(out: &mut Outcome, t: &Tracer, r: &ClientResult, generate_ms: &[f64]) {
     for m in default_methods() {
         let name = m.name();
-        let ms: Vec<f64> = results
-            .iter()
-            .flat_map(|r| r.per_method.get(name).into_iter().flatten().copied())
-            .collect();
+        let ms = r.per_method.get(name).cloned().unwrap_or_default();
         out.layer(&format!("method.{name}.p50_ms"), p50(&ms));
     }
-    let staged: Vec<f64> = results
-        .iter()
-        .flat_map(|r| r.replays.staged_ms.clone())
-        .collect();
-    let plain: Vec<f64> = results
-        .iter()
-        .flat_map(|r| r.replays.plain_ms.clone())
-        .collect();
     stage_layers(out, t);
-    compose_layers(out, results[0].replays.counts);
+    compose_layers(out, r.replays.counts);
     out.layer("datasets.generate_ms", p50(generate_ms));
-    out.layer("trace.overhead_pct", overhead_pct(&staged, &plain));
+    out.layer(
+        "trace.overhead_pct",
+        overhead_pct(&r.replays.staged_ms, &r.replays.plain_ms),
+    );
 }
 
 #[cfg(test)]
@@ -343,17 +349,23 @@ mod tests {
         assert_eq!(script_digest(3), script_digest(3));
         assert_ne!(script_digest(3), script_digest(4));
         let n = round().len();
-        assert_eq!(n, KINDS.len() * RATIOS.len() * (FREEHGC_PER_CELL + 6));
-        // Two full rounds of one client hold each cell's shares exactly.
-        let ops: Vec<Op> = script(3, 0).take(2 * n).collect();
+        assert_eq!(
+            n,
+            KINDS.len() * RATIOS.len() * (FREEHGC_PER_CELL + 6) - GCOND_OOM.len()
+        );
+        // Two full rounds hold each cell's shares exactly.
+        let ops: Vec<Op> = script(3).take(2 * n).collect();
         let freehgc = ops.iter().filter(|o| o.method == "FreeHGC").count();
         assert_eq!(freehgc, 2 * KINDS.len() * RATIOS.len() * FREEHGC_PER_CELL);
+        let gcond = ops.iter().filter(|o| o.method == "GCond").count();
+        assert_eq!(gcond, 2 * (KINDS.len() * RATIOS.len() - GCOND_OOM.len()));
+        assert!(ops
+            .iter()
+            .all(|o| o.method != "GCond" || !GCOND_OOM.contains(&(o.graph, o.ratio))));
         // Seeds are fresh, so flight keys never repeat.
         let mut seeds: Vec<u64> = ops.iter().map(|o| o.seed).collect();
         seeds.sort();
         seeds.dedup();
         assert_eq!(seeds.len(), ops.len());
-        // The two clients send different sequences.
-        assert_ne!(script(3, 0).next(), script(3, 1).next());
     }
 }

@@ -11,7 +11,7 @@
 
 use super::{
     catch, compose_layers, ms_since, overhead_pct, repeat_setup, stage_layers, validate, Clock,
-    RunCfg, GRAPH_SEED,
+    OpTimer, RunCfg, GRAPH_SEED,
 };
 use crate::metrics::{Outcome, OutputLog};
 use crate::script::{Digest, Rng};
@@ -68,7 +68,7 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
         ..Default::default()
     };
     let mut generate_ms = Vec::new();
-    let (g, setup) = repeat_setup(|| {
+    let g = repeat_setup(&mut out, || {
         let t0 = Instant::now();
         let g = generate(KIND, SCALE, GRAPH_SEED);
         generate_ms.push(ms_since(t0));
@@ -79,7 +79,6 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
         drop(bench);
         g
     });
-    out.setup_s = setup;
     // The bench borrows the graph, so the kept instance's bench is built
     // (and warmed) again here, exactly as in each timed repetition.
     let bench = Bench::new(&g, EvalConfig::quick());
@@ -92,16 +91,14 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
     let (mut traced_ms, mut plain_ms, mut epochs) = (Vec::new(), Vec::new(), Vec::new());
     let mut counts = Default::default();
     let mut index = 0usize;
-    'passes: for pass in 0.. {
-        for ci in pass_order(cfg.seed, pass) {
-            if !clock.more() {
-                break 'passes;
-            }
+    // A round is one pass over the cell list.
+    while clock.more() {
+        let pass = index / cells.len();
+        for ci in pass_order(cfg.seed, pass as u64) {
             let (ratio, seed) = cells[ci];
             let i = index;
             index += 1;
-            out.attempted += 1;
-            let t0 = Instant::now();
+            let timer = OpTimer::start();
             let result = match cfg.tracer {
                 None => catch(|| cell_plain(&bench, ratio, seed)),
                 Some(t) => catch(|| {
@@ -115,13 +112,12 @@ pub fn run(cfg: &RunCfg<'_>) -> Outcome {
                     })
                 }),
             };
-            let ms = ms_since(t0);
+            let (ms, cpu) = timer.stop();
+            out.op(result.is_some(), ms, cpu);
             let Some((cond, acc)) = result else {
-                out.failed += 1;
                 continue;
             };
             clock.succeeded();
-            out.latencies_ms.push(ms);
             validate(&mut out, &g, &cond, "train cell");
             log.push(i, fingerprint(&cond));
             match first_pass[ci] {
