@@ -305,7 +305,7 @@ impl<'g> Bench<'g> {
         let path = dir.join(snapshot_file_name(
             self.graph.fingerprint(),
             self.ctx.max_row_nnz(),
-            self.ctx.composed_budget(),
+            self.ctx.cache_budget(),
         ));
         self.ctx
             .save_snapshot_merged(&path, Some(&PropagatedFeaturesCodec))?;

@@ -75,23 +75,11 @@ use crate::condense::{CondenseSpec, DEFAULT_MAX_ROW_NNZ};
 use crate::graph::{GraphDelta, HeteroGraph};
 use crate::metapath::{enumerate_metapaths, metapaths_to, MetaPath, MetaPathStep};
 use crate::schema::{NodeTypeId, Schema};
+use freehgc_parallel::relock;
 use freehgc_sparse::{CsrMatrix, FxHashMap};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Locks `m`, recovering from poisoning instead of propagating it.
-///
-/// Every mutation made under these mutexes is a single map operation
-/// publishing an already-complete value (computes run *outside* the
-/// locks), so a panic unwinding through a lock scope can never leave
-/// half-written state behind it — the data under a poisoned mutex is
-/// exactly as consistent as under a clean one. Recovering therefore
-/// keeps one panicking request from killing every later request on the
-/// process, without weakening any invariant.
-pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex};
 
 /// One hit/miss pair, updated with relaxed atomics (counters are
 /// diagnostics, never control flow).
@@ -786,14 +774,6 @@ impl<'g> CondenseContext<'g> {
         self.accountant.get_mut().unwrap().set_budget(bytes);
         self
     }
-
-    /// Deprecated spelling of [`CondenseContext::with_cache_budget`],
-    /// kept so pre-accountant callers compile unchanged. The budget was
-    /// never per-family: this sets the *unified* ceiling, which the
-    /// composed family shares with influence, diversity and propagated.
-    pub fn with_composed_budget(self, bytes: Option<usize>) -> Self {
-        self.with_cache_budget(bytes)
-    }
 }
 
 impl CondenseContext<'static> {
@@ -829,12 +809,6 @@ impl CondenseContext<'_> {
     /// The unified accountant byte budget (`None` = unbounded).
     pub fn cache_budget(&self) -> Option<usize> {
         relock(&self.accountant).budget
-    }
-
-    /// Deprecated spelling of [`CondenseContext::cache_budget`] — there
-    /// is one budget, shared by all four families; this returns it.
-    pub fn composed_budget(&self) -> Option<usize> {
-        self.cache_budget()
     }
 
     /// Resident bytes across all four accountant families right now —
@@ -1766,7 +1740,7 @@ mod tests {
         // A budget of roughly half the unbounded footprint forces
         // evictions while still admitting every individual entry.
         let budget = (full_bytes / 2).max(64);
-        let evicting = CondenseContext::new(&g).with_composed_budget(Some(budget));
+        let evicting = CondenseContext::new(&g).with_cache_budget(Some(budget));
         // Two sweeps: the second re-fetches entries the first evicted.
         for _ in 0..2 {
             for p in paths.iter() {
@@ -1801,7 +1775,7 @@ mod tests {
         // invariant holds from this point on.
         let multi_hop = paths.iter().filter(|p| p.hops() >= 2).count();
         let budget = ctx.composed_bytes().saturating_sub(1);
-        let ctx = ctx.with_composed_budget(Some(budget));
+        let ctx = ctx.with_cache_budget(Some(budget));
         let st = ctx.stats();
         assert!(st.composed_evictions >= 1);
         assert!(ctx.composed_len() < multi_hop);
@@ -1985,7 +1959,7 @@ mod tests {
         // Budget a warm context: resident shrinks to fit and the mark
         // restarts at the resident size.
         let budget = (full / 2).max(1);
-        let ctx = ctx.with_composed_budget(Some(budget));
+        let ctx = ctx.with_cache_budget(Some(budget));
         let st = ctx.stats();
         assert!(st.composed_bytes <= budget as u64);
         assert_eq!(st.composed_peak_bytes, st.composed_bytes);
@@ -1993,7 +1967,7 @@ mod tests {
         // Remove the budget from the (still warm) context: nothing is
         // evicted, and the mark restarts at the resident size instead of
         // carrying the budgeted era's history.
-        let ctx = ctx.with_composed_budget(None);
+        let ctx = ctx.with_cache_budget(None);
         let st = ctx.stats();
         assert_eq!(st.composed_peak_bytes, st.composed_bytes);
 
@@ -2042,7 +2016,7 @@ mod tests {
     #[test]
     fn rejected_oversized_entries_leave_the_cache_empty() {
         let g = fixture();
-        let ctx = CondenseContext::new(&g).with_composed_budget(Some(1));
+        let ctx = CondenseContext::new(&g).with_cache_budget(Some(1));
         let root = g.schema().target();
         let paths = ctx.metapaths(root, 2, 100);
         let two_hop = paths.iter().find(|p| p.hops() == 2).unwrap();

@@ -43,7 +43,7 @@
 //!   the map first). [`ContextRegistry::run_isolated`] extends the same
 //!   contract to condensation work (`Condenser::condense_shared`).
 //! * **Poison recovery.** Every mutex access recovers from poisoning
-//!   (see `context::relock`): all mutations under the registry's locks
+//!   (see `freehgc_parallel::relock`): all mutations under the registry's locks
 //!   are single map operations on complete values, so a poisoned lock
 //!   guards perfectly consistent data and refusing to serve it would
 //!   turn one panic into a process-wide death spiral.
@@ -70,17 +70,18 @@
 //! per-context budgets alone still sum past its memory.
 
 use crate::condense::CondenseSpec;
-use crate::context::{relock, CondenseContext, DeltaSeedReport};
+use crate::context::{CondenseContext, DeltaSeedReport};
 use crate::failpoints;
 use crate::graph::{GraphDelta, HeteroGraph};
 use crate::snapshot::{snapshot_file_name, PropagatedCodec, SnapshotError, SnapshotLoadReport};
+use freehgc_parallel::{relock, Flight, Leader};
 use freehgc_sparse::fx::FxHasher;
 use freehgc_sparse::{FxHashMap, FxHashSet};
 use std::hash::Hasher;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A 128-bit content hash of a [`HeteroGraph`] — the registry key.
 ///
@@ -211,53 +212,24 @@ enum Slot {
         ctx: Arc<CondenseContext<'static>>,
         touch: u64,
     },
-    Building(Arc<Flight>),
+    Building(Arc<BuildFlight>),
 }
 
 /// The single-flight rendezvous for one key's cold build: waiters block
-/// on the condvar until the leader publishes the context or reports
-/// failure.
-#[derive(Default)]
-struct Flight {
-    state: Mutex<FlightState>,
-    cv: Condvar,
-}
+/// until the leader publishes the context, or fail (caught panic, or a
+/// leader token dropped on any other exit path) and re-elect.
+type BuildFlight = Flight<Arc<CondenseContext<'static>>, ()>;
 
-#[derive(Default)]
-enum FlightState {
-    #[default]
-    Pending,
-    Ready(Arc<CondenseContext<'static>>),
-    Failed,
-}
-
-impl Flight {
-    /// Blocks until the leader resolves this flight. `None` means the
-    /// build failed; the caller loops back to resolution, where the map
-    /// elects exactly one new leader among the woken waiters.
-    fn wait(&self) -> Option<Arc<CondenseContext<'static>>> {
-        let mut state = relock(&self.state);
-        loop {
-            match &*state {
-                FlightState::Pending => {
-                    state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-                }
-                FlightState::Ready(ctx) => return Some(Arc::clone(ctx)),
-                FlightState::Failed => return None,
-            }
-        }
-    }
-
-    /// Publishes the build outcome and wakes every waiter. The leader
-    /// calls this on **every** exit path — success or caught panic — so
-    /// a waiter can never hang on an abandoned flight.
-    fn finish(&self, result: Option<Arc<CondenseContext<'static>>>) {
-        *relock(&self.state) = match result {
-            Some(ctx) => FlightState::Ready(ctx),
-            None => FlightState::Failed,
-        };
-        self.cv.notify_all();
-    }
+/// Resident cache bytes of the ready contexts in a registry map
+/// (in-flight builds hold none until published).
+fn ready_bytes(entries: &FxHashMap<RegistryKey, Slot>) -> u64 {
+    entries
+        .values()
+        .map(|slot| match slot {
+            Slot::Ready { ctx, .. } => ctx.cache_bytes() as u64,
+            Slot::Building(_) => 0,
+        })
+        .fold(0u64, u64::saturating_add)
 }
 
 /// How many times one caller will (re)try a failing cold build — its
@@ -411,13 +383,7 @@ impl ContextRegistry {
     ///
     /// [`CacheAccountant`]: crate::context::CacheCounters
     pub fn resident_bytes(&self) -> u64 {
-        relock(&self.entries)
-            .values()
-            .map(|slot| match slot {
-                Slot::Ready { ctx, .. } => ctx.cache_bytes() as u64,
-                Slot::Building(_) => 0,
-            })
-            .fold(0u64, u64::saturating_add)
+        ready_bytes(&relock(&self.entries))
     }
 
     /// Drops whole least-recently-resolved contexts until the rollup
@@ -437,13 +403,7 @@ impl ContextRegistry {
     /// [`ContextRegistry::evict`].
     pub fn evict_idle(&self, keep_bytes: u64) -> usize {
         let mut entries = relock(&self.entries);
-        let mut resident: u64 = entries
-            .values()
-            .map(|slot| match slot {
-                Slot::Ready { ctx, .. } => ctx.cache_bytes() as u64,
-                Slot::Building(_) => 0,
-            })
-            .fold(0u64, u64::saturating_add);
+        let mut resident = ready_bytes(&entries);
         if resident <= keep_bytes {
             return 0;
         }
@@ -549,8 +509,8 @@ impl ContextRegistry {
     ) -> (Arc<CondenseContext<'static>>, R) {
         enum Role {
             Hit(Arc<CondenseContext<'static>>),
-            Wait(Arc<Flight>),
-            Lead(Arc<Flight>),
+            Wait(Arc<BuildFlight>),
+            Lead(Leader<Arc<CondenseContext<'static>>, ()>),
         }
         let mut failures = 0usize;
         loop {
@@ -567,9 +527,9 @@ impl ContextRegistry {
                         Slot::Building(f) => Role::Wait(Arc::clone(f)),
                     },
                     std::collections::hash_map::Entry::Vacant(v) => {
-                        let f = Arc::new(Flight::default());
-                        v.insert(Slot::Building(Arc::clone(&f)));
-                        Role::Lead(f)
+                        let leader = BuildFlight::lead(());
+                        v.insert(Slot::Building(leader.flight()));
+                        Role::Lead(leader)
                     }
                 }
             };
@@ -580,7 +540,7 @@ impl ContextRegistry {
                 }
                 Role::Wait(flight) => {
                     self.singleflight_coalesced.fetch_add(1, Ordering::Relaxed);
-                    if let Some(ctx) = flight.wait() {
+                    if let Ok(ctx) = flight.wait() {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return (ctx, R::default());
                     }
@@ -591,7 +551,7 @@ impl ContextRegistry {
                         key.0
                     );
                 }
-                Role::Lead(flight) => {
+                Role::Lead(leader) => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     // Construction is cheap (empty caches) and the
                     // optional disk load is pure pre-warming, so the
@@ -633,12 +593,12 @@ impl ContextRegistry {
                                     self.duplicate_computes.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
-                            flight.finish(Some(Arc::clone(&ctx)));
+                            leader.finish(Ok(Arc::clone(&ctx)));
                             return (ctx, report);
                         }
                         Err(payload) => {
                             relock(&self.entries).remove(&key);
-                            flight.finish(None);
+                            leader.finish(Err(()));
                             self.panics_recovered.fetch_add(1, Ordering::Relaxed);
                             failures += 1;
                             if failures >= MAX_BUILD_ATTEMPTS {
@@ -1071,9 +1031,9 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b), "different graphs, different contexts");
         let c = reg.context_for(&g1, &spec.clone().with_max_row_nnz(None));
         assert!(!Arc::ptr_eq(&a, &c), "different fill-in cap");
-        let d = reg.context_for(&g1, &spec.with_composed_cache_bytes(Some(1 << 16)));
+        let d = reg.context_for(&g1, &spec.with_cache_budget(Some(1 << 16)));
         assert!(!Arc::ptr_eq(&a, &d), "different budget");
-        assert_eq!(d.composed_budget(), Some(1 << 16));
+        assert_eq!(d.cache_budget(), Some(1 << 16));
         assert_eq!(reg.len(), 4);
     }
 

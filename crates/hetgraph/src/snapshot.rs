@@ -1514,7 +1514,7 @@ mod tests {
             decode_snapshot_into(&uncapped, &bytes, None),
             Err(SnapshotError::WrongKnobs)
         ));
-        let budgeted = CondenseContext::new(&g).with_composed_budget(Some(1 << 20));
+        let budgeted = CondenseContext::new(&g).with_cache_budget(Some(1 << 20));
         assert!(matches!(
             decode_snapshot_into(&budgeted, &bytes, None),
             Err(SnapshotError::WrongKnobs)
@@ -1531,7 +1531,7 @@ mod tests {
         let path = dir.join(snapshot_file_name(
             g.fingerprint(),
             ctx.max_row_nnz(),
-            ctx.composed_budget(),
+            ctx.cache_budget(),
         ));
         ctx.save_snapshot(&path).expect("save");
 
@@ -1557,10 +1557,10 @@ mod tests {
         // (the budget is part of the knob key, so build the source with
         // the same budget).
         let budget = (full / 2).max(1);
-        let source = CondenseContext::new(&g).with_composed_budget(Some(budget));
+        let source = CondenseContext::new(&g).with_cache_budget(Some(budget));
         warm(&source);
         let bytes = encode_snapshot(&source, None);
-        let loaded = CondenseContext::new(&g).with_composed_budget(Some(budget));
+        let loaded = CondenseContext::new(&g).with_cache_budget(Some(budget));
         decode_snapshot_into(&loaded, &bytes, None).expect("load");
         let st = loaded.stats();
         assert!(
@@ -1671,7 +1671,7 @@ mod tests {
         w.put_u64(fp.0);
         w.put_u64(fp.1);
         w.put_opt_usize(ctx.max_row_nnz());
-        w.put_opt_usize(ctx.composed_budget());
+        w.put_opt_usize(ctx.cache_budget());
         w.put_u32(1);
         w.put_u8(SECTION_FACTORS);
         w.put_usize(payload.len());

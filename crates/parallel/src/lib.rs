@@ -25,13 +25,29 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
+pub mod flight;
 pub mod pool;
 pub mod workspace;
 
+pub use flight::{Flight, Leader};
 pub use pool::{PoolStats, SubmitError, WorkerPool};
+
+/// Locks `m`, recovering from poisoning instead of propagating it — the
+/// workspace's one poison-recovering lock helper.
+///
+/// Every critical section guarded this way is a single operation that
+/// publishes an already-complete value (computes run *outside* the
+/// locks), so a panic unwinding through a lock scope can never leave
+/// half-written state behind it — the data under a poisoned mutex is
+/// exactly as consistent as under a clean one. Recovering therefore
+/// keeps one panicking request from killing every later request on the
+/// process, without weakening any invariant.
+pub fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Runtime override of the thread count (0 = no override). Takes
 /// precedence over `FREEHGC_THREADS`; used by benches and the

@@ -43,12 +43,12 @@ use freehgc_baselines::{
 use freehgc_core::FreeHgc;
 use freehgc_hetgraph::failpoints as fp;
 use freehgc_hetgraph::{CondenseSpec, Condenser, ContextRegistry, GraphFingerprint, HeteroGraph};
-use freehgc_parallel::{SubmitError, WorkerPool};
+use freehgc_parallel::{relock, Flight, Leader, SubmitError, WorkerPool};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Hop/path caps a request may ask for. Generous against anything the
@@ -158,26 +158,10 @@ pub fn default_methods() -> Vec<Box<dyn Condenser + Send + Sync>> {
 /// everything that determines the (deterministic) output.
 type FlightKey = (GraphFingerprint, String, u64, u64, u32, u32);
 
-enum FState {
-    Pending,
-    /// Successful reply; followers return it as-is.
-    Done(Reply),
-    /// The leader failed with this typed error. The leader returns it;
-    /// followers run a fresh election (bounded retries).
-    Failed(Reply),
-}
-
-struct ReqFlight {
-    state: Mutex<FState>,
-    cv: Condvar,
-}
-
-enum WaitOutcome {
-    Done(Reply),
-    Failed(Reply),
-    /// The waiter's own deadline/cancellation fired; the flight runs on.
-    Bail(Reply),
-}
+/// One request flight: `Done` carries a successful reply followers
+/// return as-is; `Failed` carries the leader's typed error — the leader
+/// returns it, followers run a fresh election (bounded retries).
+type ReplyFlight = Flight<Reply, Reply>;
 
 #[derive(Default)]
 struct Counters {
@@ -208,18 +192,12 @@ struct ServerInner {
     registry: ContextRegistry,
     pool: WorkerPool,
     methods: Mutex<BTreeMap<String, Arc<dyn Condenser + Send + Sync>>>,
-    inflight: Mutex<BTreeMap<FlightKey, Arc<ReqFlight>>>,
+    inflight: Mutex<BTreeMap<FlightKey, Arc<ReplyFlight>>>,
     replies: Mutex<ReplyCache>,
     counters: Counters,
     shutting_down: AtomicBool,
     snapshot_dir: Option<PathBuf>,
     resident_budget: Option<u64>,
-}
-
-fn relock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    // Same policy as the registry and pool: every critical section is a
-    // single complete map operation, so poison cannot expose torn state.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn err(code: ErrorCode, message: impl Into<String>) -> Reply {
@@ -372,16 +350,29 @@ impl ServeHandle {
                 max_hops,
                 max_paths,
                 deadline_ms,
-            } => self.condense(
-                graph,
-                method,
-                *ratio,
-                *seed,
-                *max_hops,
-                *max_paths,
-                *deadline_ms,
-                opts,
-            ),
+            } => {
+                let reply = self.condense(
+                    graph,
+                    method,
+                    *ratio,
+                    *seed,
+                    *max_hops,
+                    *max_paths,
+                    *deadline_ms,
+                    opts,
+                );
+                // Counted here, where the typed reply reaches its caller,
+                // so each shed request counts once — however many phase
+                // boundaries (caller, pooled job) observed the same gate.
+                let counters = &self.inner.counters;
+                match reply.error_code() {
+                    Some(ErrorCode::Cancelled) => &counters.cancelled,
+                    Some(ErrorCode::DeadlineExceeded) => &counters.deadline_exceeded,
+                    _ => return reply,
+                }
+                .fetch_add(1, Ordering::Relaxed);
+                reply
+            }
         }
     }
 
@@ -472,38 +463,35 @@ impl ServeHandle {
 
         let mut last_failure = None;
         for _attempt in 0..MAX_CALL_ATTEMPTS {
-            if let Some(reply) = self.gate(deadline, &cancel) {
+            if let Some(reply) = gate(deadline, &cancel) {
                 return reply;
             }
             // Join an existing flight, or become the leader.
-            let (flight, leader) = {
+            let flight = {
                 let mut inflight = relock(&inner.inflight);
                 match inflight.get(&key) {
-                    Some(f) => (Arc::clone(f), false),
+                    Some(f) => Arc::clone(f),
                     None => {
-                        let f = Arc::new(ReqFlight {
-                            state: Mutex::new(FState::Pending),
-                            cv: Condvar::new(),
-                        });
-                        inflight.insert(key.clone(), Arc::clone(&f));
-                        (f, true)
+                        let leader = ReplyFlight::lead(err(
+                            ErrorCode::Internal,
+                            "request leader exited without a reply",
+                        ));
+                        inflight.insert(key.clone(), leader.flight());
+                        // Unlocked first: the leader retires its flight
+                        // from this map when it publishes.
+                        drop(inflight);
+                        return self.lead(
+                            &key, leader, &graph, condenser, spec, deadline, cancel, opts,
+                        );
                     }
                 }
             };
-            if !leader {
-                inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                match self.wait_on_flight(&flight, deadline, &cancel, opts) {
-                    WaitOutcome::Done(reply) | WaitOutcome::Bail(reply) => return reply,
-                    WaitOutcome::Failed(reply) => {
-                        // The leader took the error; run a fresh election.
-                        last_failure = Some(reply);
-                        continue;
-                    }
-                }
+            inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+            match flight.wait_polling(WAIT_SLICE, wait_hook(deadline, &cancel, opts)) {
+                Ok(Ok(reply)) | Err(reply) => return reply,
+                // The leader took the error; run a fresh election.
+                Ok(Err(reply)) => last_failure = Some(reply),
             }
-            return self.lead(
-                &key, flight, &graph, condenser, spec, deadline, cancel, opts,
-            );
         }
         last_failure.unwrap_or_else(|| err(ErrorCode::Internal, "retries exhausted"))
     }
@@ -513,7 +501,7 @@ impl ServeHandle {
     fn lead(
         &self,
         key: &FlightKey,
-        flight: Arc<ReqFlight>,
+        leader: Leader<Reply, Reply>,
         graph: &Arc<HeteroGraph>,
         condenser: Arc<dyn Condenser + Send + Sync>,
         spec: CondenseSpec,
@@ -530,7 +518,7 @@ impl ServeHandle {
                 .fast_path_hits
                 .fetch_add(1, Ordering::Relaxed);
             let reply = run_condense(inner, graph, &*condenser, &spec, deadline, &cancel, false);
-            finish_flight(inner, key, &flight, reply.clone());
+            finish_flight(inner, key, &leader, reply.clone());
             return reply;
         }
         // Cold: bounded enqueue. The failpoint simulates an overload
@@ -538,30 +526,31 @@ impl ServeHandle {
         if fp::should_fire(fp::SERVE_QUEUE_FULL) {
             let reply = err(ErrorCode::Overloaded, "queue full (injected)");
             inner.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-            finish_flight(inner, key, &flight, reply.clone());
+            finish_flight(inner, key, &leader, reply.clone());
             return reply;
         }
+        // The pooled job owns the leader token: however the job ends —
+        // published, unwound, or handed back unrun by a rejected submit
+        // — waiters are released.
+        let flight = leader.flight();
         let job = {
             let inner = Arc::clone(&self.inner);
             let key = key.clone();
-            let flight = Arc::clone(&flight);
             let graph = Arc::clone(graph);
             let cancel = cancel.clone();
             Box::new(move || {
                 let reply =
                     run_condense(&inner, &graph, &*condenser, &spec, deadline, &cancel, true);
-                finish_flight(&inner, &key, &flight, reply);
+                finish_flight(&inner, &key, &leader, reply);
                 if let Some(budget) = inner.resident_budget {
                     inner.registry.evict_idle(budget);
                 }
             })
         };
         match inner.pool.submit(job) {
-            Ok(()) => match self.wait_on_flight(&flight, deadline, &cancel, opts) {
-                // The leader owns its flight's outcome, error or not.
-                WaitOutcome::Done(reply)
-                | WaitOutcome::Failed(reply)
-                | WaitOutcome::Bail(reply) => reply,
+            // The leader owns its flight's outcome, error or not.
+            Ok(()) => match flight.wait_polling(WAIT_SLICE, wait_hook(deadline, &cancel, opts)) {
+                Ok(Ok(reply)) | Ok(Err(reply)) | Err(reply) => reply,
             },
             Err(e) => {
                 let reply = match e {
@@ -580,59 +569,6 @@ impl ServeHandle {
                 finish_flight(inner, key, &flight, reply.clone());
                 reply
             }
-        }
-    }
-
-    /// Typed early exit if the request's deadline passed or its client
-    /// is gone.
-    fn gate(&self, deadline: Option<Instant>, cancel: &CancelToken) -> Option<Reply> {
-        if cancel.is_cancelled() {
-            self.inner
-                .counters
-                .cancelled
-                .fetch_add(1, Ordering::Relaxed);
-            return Some(err(ErrorCode::Cancelled, "request cancelled"));
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.inner
-                .counters
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            return Some(err(ErrorCode::DeadlineExceeded, "deadline exceeded"));
-        }
-        None
-    }
-
-    fn wait_on_flight(
-        &self,
-        flight: &ReqFlight,
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
-        opts: &CallOpts<'_>,
-    ) -> WaitOutcome {
-        let mut state = relock(&flight.state);
-        loop {
-            match &*state {
-                FState::Done(reply) => return WaitOutcome::Done(reply.clone()),
-                FState::Failed(reply) => return WaitOutcome::Failed(reply.clone()),
-                FState::Pending => {}
-            }
-            if opts.disconnect_probe.is_some_and(|probe| probe()) {
-                // Client gone: flip the shared token so the pooled job
-                // (which carries it) sheds the work at its next phase
-                // boundary, handing any followers a fresh election.
-                cancel.cancel();
-            }
-            drop(state);
-            if let Some(reply) = self.gate(deadline, cancel) {
-                return WaitOutcome::Bail(reply);
-            }
-            state = relock(&flight.state);
-            let (st, _timeout) = flight
-                .cv
-                .wait_timeout(state, WAIT_SLICE)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = st;
         }
     }
 
@@ -722,27 +658,16 @@ fn run_condense(
     cancel: &CancelToken,
     via_worker: bool,
 ) -> Reply {
-    let gate = |counters: &Counters| -> Option<Reply> {
-        if cancel.is_cancelled() {
-            counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            return Some(err(ErrorCode::Cancelled, "request cancelled"));
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return Some(err(ErrorCode::DeadlineExceeded, "deadline exceeded"));
-        }
-        None
-    };
     let outcome = catch_unwind(AssertUnwindSafe(
         || -> Result<CondensedSummary, Box<Reply>> {
             if via_worker {
                 fp::fire_panic(fp::SERVE_WORKER_PANIC);
             }
-            if let Some(reply) = gate(&inner.counters) {
+            if let Some(reply) = gate(deadline, cancel) {
                 return Err(Box::new(reply));
             }
             let ctx = inner.registry.context_for(graph, spec);
-            if let Some(reply) = gate(&inner.counters) {
+            if let Some(reply) = gate(deadline, cancel) {
                 return Err(Box::new(reply));
             }
             let condensed = inner.registry.run_isolated(|| {
@@ -765,15 +690,47 @@ fn run_condense(
     }
 }
 
+/// Typed early exit if the request's deadline passed or its client is
+/// gone — the one gate every phase boundary checks. It only builds the
+/// reply; [`ServeHandle::call_with`] counts it once, where it is returned.
+fn gate(deadline: Option<Instant>, cancel: &CancelToken) -> Option<Reply> {
+    if cancel.is_cancelled() {
+        return Some(err(ErrorCode::Cancelled, "request cancelled"));
+    }
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Some(err(ErrorCode::DeadlineExceeded, "deadline exceeded"));
+    }
+    None
+}
+
+/// The hook a caller runs every [`WAIT_SLICE`] while it waits on a
+/// request flight: its own deadline/cancellation bails the wait (the
+/// flight runs on).
+fn wait_hook<'a>(
+    deadline: Option<Instant>,
+    cancel: &'a CancelToken,
+    opts: &'a CallOpts<'_>,
+) -> impl FnMut() -> Option<Reply> + 'a {
+    move || {
+        if opts.disconnect_probe.is_some_and(|probe| probe()) {
+            // Client gone: flip the shared token so the pooled job
+            // (which carries it) sheds the work at its next phase
+            // boundary, handing any followers a fresh election.
+            cancel.cancel();
+        }
+        gate(deadline, cancel)
+    }
+}
+
 /// Publishes a flight's outcome and retires it from the in-flight map,
-/// waking every waiter. Error replies park as `Failed`, which hands
+/// waking every waiter. Error replies publish as `Failed`, which hands
 /// followers a fresh election while the leader keeps the error.
-fn finish_flight(inner: &ServerInner, key: &FlightKey, flight: &Arc<ReqFlight>, reply: Reply) {
+fn finish_flight(inner: &ServerInner, key: &FlightKey, flight: &ReplyFlight, reply: Reply) {
     {
         let mut inflight = relock(&inner.inflight);
         if inflight
             .get(key)
-            .is_some_and(|cur| Arc::ptr_eq(cur, flight))
+            .is_some_and(|cur| std::ptr::eq(&**cur, flight))
         {
             inflight.remove(key);
         }
@@ -791,12 +748,5 @@ fn finish_flight(inner: &ServerInner, key: &FlightKey, flight: &Arc<ReqFlight>, 
         }
         cache.map.insert(key.clone(), reply.clone());
     }
-    let mut state = relock(&flight.state);
-    *state = if failed {
-        FState::Failed(reply)
-    } else {
-        FState::Done(reply)
-    };
-    drop(state);
-    flight.cv.notify_all();
+    flight.finish(if failed { Err(reply) } else { Ok(reply) });
 }

@@ -244,9 +244,11 @@ fn deadline_exceeded_is_typed_and_sheds_the_request() {
         Some(ErrorCode::DeadlineExceeded),
         "got {reply:?}"
     );
-    assert!(handle.stats().deadline_exceeded >= 1);
     gate.wait();
     handle.shutdown();
+    // The drained pooled job hits the same expired deadline, but one
+    // request is one shed reply: counted once, not once per gate.
+    assert_eq!(handle.stats().deadline_exceeded, 1);
 }
 
 #[test]

@@ -168,7 +168,7 @@ fn evicting_cache_matches_unbounded_and_respects_budget() {
     let budget = (unbounded.composed_bytes() / 2).max(64);
 
     for threads in [1usize, 4] {
-        let evicting = CondenseContext::for_spec(&g, &spec).with_composed_budget(Some(budget));
+        let evicting = CondenseContext::for_spec(&g, &spec).with_cache_budget(Some(budget));
         for (c, want) in condensers().iter().zip(&reference) {
             let got = with_threads(threads, || c.condense_in(&evicting, &spec));
             assert_condensed_equal(want, &got, &format!("{} evicting/{threads}t", c.name()));

@@ -110,7 +110,7 @@ fn snapshot_round_trip_matches_fresh_for_every_condenser() {
     assert!(path.ends_with(snapshot_file_name(
         g.fingerprint(),
         spec.max_row_nnz,
-        spec.composed_cache_bytes
+        spec.cache_budget()
     )));
 
     for threads in [1usize, 4] {
