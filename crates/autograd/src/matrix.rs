@@ -1,21 +1,12 @@
 //! Dense row-major `f32` matrices.
 //!
 //! The HGNN heads in this reproduction are small (hidden sizes ≤ a few
-//! hundred), so a cache-friendly `ikj` matmul — row-partitioned across
-//! threads for the larger products the trainer hits — is fast enough;
-//! all heavy propagation work happens in `freehgc-sparse`. Parallel
-//! partitions own disjoint output rows and accumulate in the serial
-//! order, so results are bitwise-identical at any thread count.
+//! hundred), so a cache-friendly `ikj` matmul is fast enough; all heavy
+//! propagation work happens in `freehgc-sparse`.
 
-use freehgc_parallel as par;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use std::ops::Range;
-
-/// Minimum scalar multiply-adds a worker must own before a dense
-/// product goes parallel (several multiples of a scoped-thread spawn).
-const MATMUL_FLOP_GRAIN: usize = 65_536;
 
 /// The canonical 8-lane dense dot product: element `k` accumulates into
 /// lane `k % 8`, lanes combine as `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
@@ -116,78 +107,10 @@ impl Matrix {
     }
 
     /// `C = A · B` with an `ikj` loop order for contiguous inner access.
-    /// Row-partitioned parallel: each worker owns a disjoint block of
-    /// output rows.
+    /// For each output element the contributions arrive in increasing-`k`
+    /// order, skipping `a[i,k] == 0.0` — the same terms in the same order
+    /// as [`Matrix::matmul_tn`] on `Aᵀ`.
     pub fn matmul(&self, b: &Matrix) -> Matrix {
-        assert_eq!(self.cols, b.rows, "matmul inner dimension mismatch");
-        let mut c = Matrix::zeros(self.rows, b.cols);
-        let flops = self.rows * self.cols * b.cols;
-        let chunks = par::chunks_for(flops, MATMUL_FLOP_GRAIN, self.rows);
-        if chunks <= 1 {
-            self.matmul_rows(b, 0..self.rows, &mut c.data);
-        } else {
-            let ranges = par::chunk_ranges(self.rows, chunks);
-            let lens: Vec<usize> = ranges.iter().map(|r| r.len() * b.cols).collect();
-            par::par_write_chunks(ranges, lens, &mut c.data, |_, r, out| {
-                self.matmul_rows(b, r, out)
-            });
-        }
-        c
-    }
-
-    /// The kernel over a contiguous output-row range of `A·B`.
-    ///
-    /// Column-block-outer: an 8-wide block of the output row is held in
-    /// a register accumulator while `k` streams past, replacing the
-    /// naive `ikj` loop's per-`k` load+store of the whole output row
-    /// with one store per element. For each output element the
-    /// contributions still arrive in increasing-`k` order with the same
-    /// `a[i,k] == 0.0` skip, so the result is bitwise-identical to
-    /// [`Matrix::matmul_ref`].
-    fn matmul_rows(&self, b: &Matrix, rows: Range<usize>, out: &mut [f32]) {
-        let n = b.cols;
-        for (ri, i) in rows.enumerate() {
-            let arow = self.row(i);
-            let crow = &mut out[ri * n..(ri + 1) * n];
-            let mut j = 0usize;
-            while j + 8 <= n {
-                let mut lanes = [0f32; 8];
-                for (k, &aik) in arow.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let base = k * n + j;
-                    for (l, lane) in lanes.iter_mut().enumerate() {
-                        // SAFETY: k < b.rows and j+8 <= n, so
-                        // base+l < b.rows*b.cols == b.data.len().
-                        *lane += aik * unsafe { *b.data.get_unchecked(base + l) };
-                    }
-                }
-                crow[j..j + 8].copy_from_slice(&lanes);
-                j += 8;
-            }
-            if j < n {
-                let rem = n - j;
-                let mut lanes = [0f32; 8];
-                for (k, &aik) in arow.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let base = k * n + j;
-                    for (l, lane) in lanes.iter_mut().enumerate().take(rem) {
-                        // SAFETY: l < rem keeps base+l in bounds.
-                        *lane += aik * unsafe { *b.data.get_unchecked(base + l) };
-                    }
-                }
-                crow[j..].copy_from_slice(&lanes[..rem]);
-            }
-        }
-    }
-
-    /// The retained naive `ikj` matmul — the pre-rework kernel, kept as
-    /// the bitwise oracle and throughput baseline for
-    /// [`Matrix::matmul`].
-    pub fn matmul_ref(&self, b: &Matrix) -> Matrix {
         assert_eq!(self.cols, b.rows, "matmul inner dimension mismatch");
         let mut c = Matrix::zeros(self.rows, b.cols);
         for i in 0..self.rows {
@@ -206,84 +129,43 @@ impl Matrix {
         c
     }
 
-    /// `C = Aᵀ · B` without materializing the transpose. Parallel
-    /// workers own disjoint blocks of output rows (columns of `A`) and
-    /// accumulate over `A`'s rows in increasing order — the serial
-    /// order — so results are bitwise-identical.
-    ///
-    /// Deliberately *not* register-blocked like [`Matrix::matmul`]: its
-    /// `i`-outer loop streams both operands contiguously, while a
-    /// block-outer rewrite would walk `A` down a column (stride
-    /// `cols`), trading the output reload for strided loads over the
-    /// much larger activation matrix — a loss at gradient shapes
+    /// `C = Aᵀ · B` without materializing the transpose, accumulating
+    /// over `A`'s rows in increasing order. The `i`-outer loop streams
+    /// both operands contiguously, which suits gradient shapes
     /// (`rows` = batch ≫ `cols`).
     pub fn matmul_tn(&self, b: &Matrix) -> Matrix {
         assert_eq!(self.rows, b.rows, "matmul_tn outer dimension mismatch");
         let mut c = Matrix::zeros(self.cols, b.cols);
-        let flops = self.rows * self.cols * b.cols;
-        let chunks = par::chunks_for(flops, MATMUL_FLOP_GRAIN, self.cols);
-        if chunks <= 1 {
-            self.matmul_tn_cols(b, 0..self.cols, &mut c.data);
-        } else {
-            let ranges = par::chunk_ranges(self.cols, chunks);
-            let lens: Vec<usize> = ranges.iter().map(|r| r.len() * b.cols).collect();
-            par::par_write_chunks(ranges, lens, &mut c.data, |_, r, out| {
-                self.matmul_tn_cols(b, r, out)
-            });
-        }
-        c
-    }
-
-    /// The `Aᵀ·B` kernel for output rows `ks` (a range of `A`'s
-    /// columns), accumulating over `A`'s rows in increasing order.
-    fn matmul_tn_cols(&self, b: &Matrix, ks: Range<usize>, out: &mut [f32]) {
         for i in 0..self.rows {
             let arow = self.row(i);
             let brow = b.row(i);
-            for k in ks.clone() {
-                let aik = arow[k];
+            for (k, &aik) in arow.iter().enumerate() {
                 if aik == 0.0 {
                     continue;
                 }
-                let rel = k - ks.start;
-                let crow = &mut out[rel * b.cols..(rel + 1) * b.cols];
+                let crow = &mut c.data[k * b.cols..(k + 1) * b.cols];
                 for (cj, &bij) in crow.iter_mut().zip(brow) {
                     *cj += aik * bij;
                 }
             }
         }
-    }
-
-    /// `C = A · Bᵀ`. Row-partitioned parallel like [`Matrix::matmul`].
-    pub fn matmul_nt(&self, b: &Matrix) -> Matrix {
-        assert_eq!(self.cols, b.cols, "matmul_nt inner dimension mismatch");
-        let mut c = Matrix::zeros(self.rows, b.rows);
-        let flops = self.rows * self.cols * b.rows;
-        let chunks = par::chunks_for(flops, MATMUL_FLOP_GRAIN, self.rows);
-        if chunks <= 1 {
-            self.matmul_nt_rows(b, 0..self.rows, &mut c.data);
-        } else {
-            let ranges = par::chunk_ranges(self.rows, chunks);
-            let lens: Vec<usize> = ranges.iter().map(|r| r.len() * b.rows).collect();
-            par::par_write_chunks(ranges, lens, &mut c.data, |_, r, out| {
-                self.matmul_nt_rows(b, r, out)
-            });
-        }
         c
     }
 
-    /// The `A·Bᵀ` kernel over a contiguous output-row range. Each
-    /// output element is a dense dot product in the canonical 8-lane
-    /// reduction order (the same canonical semantics as the sparse
-    /// `spmv` — see `freehgc_sparse`'s module docs), pinned
-    /// bitwise-equal to [`Matrix::matmul_nt_ref`].
-    fn matmul_nt_rows(&self, b: &Matrix, rows: Range<usize>, out: &mut [f32]) {
-        for (ri, i) in rows.enumerate() {
+    /// `C = A · Bᵀ`. Each output element is a dense dot product in the
+    /// canonical 8-lane reduction order (the same canonical semantics
+    /// as the sparse `spmv` — see `freehgc_sparse`'s module docs),
+    /// pinned bitwise-equal to [`Matrix::matmul_nt_ref`].
+    pub fn matmul_nt(&self, b: &Matrix) -> Matrix {
+        assert_eq!(self.cols, b.cols, "matmul_nt inner dimension mismatch");
+        let mut c = Matrix::zeros(self.rows, b.rows);
+        for i in 0..self.rows {
             let arow = self.row(i);
             for j in 0..b.rows {
-                out[ri * b.rows + j] = dot_lanes_dense(arow, b.row(j));
+                c.data[i * b.rows + j] = dot_lanes_dense(arow, b.row(j));
             }
         }
+        c
     }
 
     /// Naive reference for [`Matrix::matmul_nt`]: the same canonical
@@ -513,20 +395,6 @@ mod tests {
             m.data.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / m.data.len() as f32;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var.sqrt() - 0.5).abs() < 0.05, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn parallel_matmuls_are_bitwise_serial() {
-        // Big enough to clear MATMUL_FLOP_GRAIN on several chunks.
-        let a = Matrix::xavier(96, 80, 11);
-        let b = Matrix::xavier(80, 96, 12);
-        let bt = Matrix::xavier(96, 80, 13);
-        par::set_thread_override(Some(1));
-        let serial = (a.matmul(&b), a.matmul_tn(&bt), a.matmul_nt(&bt));
-        par::set_thread_override(Some(4));
-        let parallel = (a.matmul(&b), a.matmul_tn(&bt), a.matmul_nt(&bt));
-        par::set_thread_override(None);
-        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -1,30 +1,18 @@
-//! Rework-equivalence suite for the dense matmul kernels: the
-//! register-blocked `matmul` and the canonical-lane `matmul_nt` are
-//! pinned bitwise-equal to their retained naive references
-//! (`matmul_ref`, `matmul_nt_ref`) across adversarial shapes — 1-column
-//! outputs, every `cols % 8` lane remainder, zero-heavy operands (the
-//! `a[i,k] == 0.0` skip must survive the blocking) — at thread
-//! overrides 1 and 4.
+//! Equivalence suite for the dense matmul kernels across adversarial
+//! shapes — 1-column outputs, every `cols % 8` lane remainder,
+//! zero-heavy operands (the `a[i,k] == 0.0` skip):
+//!
+//! * `matmul` is pinned bitwise to `Aᵀ.matmul_tn(B)`, which adds the
+//!   same terms (increasing `k`, zeros of `A` skipped) in the same
+//!   order through a different loop nest;
+//! * the canonical-lane `matmul_nt` is pinned bitwise to its retained
+//!   naive reference `matmul_nt_ref`.
 
 use freehgc_autograd::Matrix;
-use freehgc_parallel as par;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use std::sync::Mutex;
-
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    par::set_thread_override(Some(n));
-    let out = f();
-    par::set_thread_override(None);
-    out
-}
-
-const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 /// Quarter-integer values in ±2 with explicit zeros so exact arithmetic
 /// coincidences and the zero-skip path both occur.
@@ -59,14 +47,12 @@ fn matmul_matches_reference_on_adversarial_shapes() {
         for zero_frac in [0.0, 0.5] {
             let a = random_matrix(m, k, (m * 31 + n) as u64, zero_frac);
             let b = random_matrix(k, n, (k * 17 + n) as u64, zero_frac);
-            let reference = a.matmul_ref(&b);
-            for t in THREAD_COUNTS {
-                let got = with_threads(t, || a.matmul(&b));
-                assert_eq!(
-                    got.data, reference.data,
-                    "matmul diverged at shape ({m},{k},{n}) zeros={zero_frac} threads={t}"
-                );
-            }
+            let reference = a.transpose().matmul_tn(&b);
+            assert_eq!(
+                a.matmul(&b).data,
+                reference.data,
+                "matmul diverged at shape ({m},{k},{n}) zeros={zero_frac}"
+            );
         }
     }
 }
@@ -86,13 +72,11 @@ fn matmul_nt_matches_canonical_reference_on_adversarial_shapes() {
         let a = random_matrix(m, k, (m * 13 + k) as u64, 0.25);
         let b = random_matrix(n, k, (n * 19 + k) as u64, 0.25);
         let reference = a.matmul_nt_ref(&b);
-        for t in THREAD_COUNTS {
-            let got = with_threads(t, || a.matmul_nt(&b));
-            assert_eq!(
-                got.data, reference.data,
-                "matmul_nt diverged at shape ({m},{k},{n}) threads={t}"
-            );
-        }
+        assert_eq!(
+            a.matmul_nt(&b).data,
+            reference.data,
+            "matmul_nt diverged at shape ({m},{k},{n})"
+        );
     }
 }
 
@@ -108,14 +92,9 @@ proptest! {
     ) {
         let a = random_matrix(m, k, seed, 0.3);
         let b = random_matrix(k, n, seed.wrapping_add(3), 0.3);
-        let reference = a.matmul_ref(&b);
-        for t in THREAD_COUNTS {
-            prop_assert_eq!(&with_threads(t, || a.matmul(&b)).data, &reference.data);
-        }
+        let reference = a.transpose().matmul_tn(&b);
+        prop_assert_eq!(&a.matmul(&b).data, &reference.data);
         let bt = random_matrix(n, k, seed.wrapping_add(5), 0.3);
-        let nt_ref = a.matmul_nt_ref(&bt);
-        for t in THREAD_COUNTS {
-            prop_assert_eq!(&with_threads(t, || a.matmul_nt(&bt)).data, &nt_ref.data);
-        }
+        prop_assert_eq!(&a.matmul_nt(&bt).data, &a.matmul_nt_ref(&bt).data);
     }
 }

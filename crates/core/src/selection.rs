@@ -120,8 +120,6 @@ pub fn celf_greedy(
 /// Per-node diversity bonus `1 − Ĵ_v(ϕ)` (Eq. 6–7) of one meta-path
 /// against its sibling paths with the same source type. Row supports are
 /// intersected by sorted-merge, so the cost is `O(Σ row nnz)` per pair.
-/// Chunk-parallel over target nodes (each entry is independent, so any
-/// partition yields identical bits).
 pub fn diversity_bonus(
     path_idx: usize,
     group: &[usize],
@@ -134,20 +132,17 @@ pub fn diversity_bonus(
         return vec![1.0; num_targets];
     }
     let a = &adjacencies[path_idx];
-    freehgc_parallel::par_chunks(num_targets, 256, |range| {
-        let mut chunk = Vec::with_capacity(range.len());
-        for v in range {
+    (0..num_targets)
+        .map(|v| {
             let ra = a.row_indices(v);
             let mut sim_sum = 0.0f64;
             for &j in &siblings {
                 let rb = adjacencies[j].row_indices(v);
                 sim_sum += jaccard_sorted(ra, rb);
             }
-            chunk.push(1.0 - sim_sum / siblings.len() as f64);
-        }
-        chunk
-    })
-    .concat()
+            1.0 - sim_sum / siblings.len() as f64
+        })
+        .collect()
 }
 
 /// Jaccard index of two sorted index slices; 1.0 when both are empty
@@ -242,14 +237,10 @@ pub fn condense_target_in(
     let class_budgets = proportional_allocation(&class_counts, budget.min(pool.len()));
 
     // Lines 2–9: per meta-path, per class greedy; aggregate scores
-    // (Eq. 9). Paths are independent — "the classes and meta-paths loop
-    // can be easily parallelizable" (§IV, time-complexity analysis) — so
-    // each path's score vector is computed on its own worker (via
-    // `freehgc_parallel`, which honors `FREEHGC_THREADS` and keeps the
-    // kernels inside from nesting their own parallelism) and summed
-    // deterministically by path index afterwards.
-    let per_path_scores: Vec<Vec<f64>> =
-        freehgc_parallel::scoped_map((0..adjacencies.len()).collect(), |_, pi: usize| {
+    // (Eq. 9). Each path's score vector is computed in path order and
+    // summed by path index afterwards.
+    let per_path_scores: Vec<Vec<f64>> = (0..adjacencies.len())
+        .map(|pi| {
             let adj = &adjacencies[pi];
             // The diversity bonus (Eq. 6–7) depends only on the composed
             // adjacencies and the sibling grouping — both pure functions
@@ -304,7 +295,8 @@ pub fn condense_target_in(
                 }
             }
             scores
-        });
+        })
+        .collect();
     let mut scores = vec![0.0f64; n];
     for ps in &per_path_scores {
         for (s, p) in scores.iter_mut().zip(ps) {

@@ -35,8 +35,7 @@
 //!
 //! Every cached value is the output of a deterministic pure function of
 //! the graph and the key, so caching is *transparent*: a condenser run
-//! through a warm context is bitwise-identical to a fresh run — the same
-//! contract the parallel kernels keep across thread counts. Hit/miss
+//! through a warm context is bitwise-identical to a fresh run. Hit/miss
 //! counters ([`CondenseContext::stats`]) make reuse observable; the
 //! `bench_report` sweep section records them per PR.
 //!

@@ -183,10 +183,8 @@ pub fn propagate_ctx(
     )
 }
 
-/// Adjacency composition runs first (the prefix cache is inherently
-/// sequential, but the SpGEMMs inside are row-parallel); the per-path
-/// `Â·X` products are then computed block-parallel, one worker per
-/// path, with results kept in path order so block layout is unchanged.
+/// Adjacency composition runs first; the per-path `Â·X` products are
+/// then computed in path order, one block per path.
 fn propagate_uncached(
     ctx: &CondenseContext<'_>,
     max_hops: usize,
@@ -205,18 +203,14 @@ fn propagate_uncached(
     blocks.push(Matrix::from_vec(n, raw.dim(), raw.data().to_vec()));
     path_names.push("raw".to_string());
 
-    let propagated = freehgc_parallel::scoped_map(
-        paths.iter().zip(adjacencies).collect::<Vec<_>>(),
-        |_, (p, adj)| {
-            let src_feat = g.features(p.source());
-            // spmm_dense_into writes straight into the block's own
-            // buffer — no intermediate Vec to hand off.
-            let mut block = Matrix::zeros(n, src_feat.dim());
-            adj.spmm_dense_into(src_feat.data(), src_feat.dim(), &mut block.data);
-            block
-        },
-    );
-    blocks.extend(propagated);
+    for (p, adj) in paths.iter().zip(adjacencies) {
+        let src_feat = g.features(p.source());
+        // spmm_dense_into writes straight into the block's own
+        // buffer — no intermediate Vec to hand off.
+        let mut block = Matrix::zeros(n, src_feat.dim());
+        adj.spmm_dense_into(src_feat.data(), src_feat.dim(), &mut block.data);
+        blocks.push(block);
+    }
     path_names.extend(paths.iter().map(|p| p.name(schema)));
     PropagatedFeatures { blocks, path_names }
 }

@@ -1,10 +1,8 @@
 //! A bounded, long-lived worker pool with explicit backpressure.
 //!
-//! The fork-join helpers in the crate root ([`scoped_map`] and friends)
-//! spawn scoped threads per call — right for data-parallel kernels,
-//! wrong for a serving front end, which needs a *fixed* set of workers
-//! multiplexing an unbounded stream of independent requests under a
-//! *bounded* amount of queued memory. [`WorkerPool`] is that primitive:
+//! A serving front end needs a *fixed* set of workers multiplexing an
+//! unbounded stream of independent requests under a *bounded* amount of
+//! queued memory. [`WorkerPool`] is that primitive:
 //!
 //! * **Fixed N workers, one `Mutex`+`Condvar` FIFO queue.** Jobs run in
 //!   submission order (FIFO dispatch; completion order depends on job
@@ -24,12 +22,9 @@
 //!   submissions, lets already-queued jobs finish, and joins every
 //!   worker — no detached threads outlive the pool.
 //!
-//! Worker threads are flagged with the crate's `in_worker` marker, so
-//! parallel kernels called from inside a job run their serial (bitwise
-//! identical) paths: with N pool workers the parallelism is *across*
-//! jobs, and a job's nested kernels do not multiply the thread count.
-//!
-//! [`scoped_map`]: crate::scoped_map
+//! Every kernel a job calls runs serially on its worker thread, so N
+//! pool workers means at most N busy compute threads: parallelism comes
+//! *across* jobs, never inside one.
 
 use crate::relock;
 use std::collections::VecDeque;
@@ -227,9 +222,6 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 fn worker_loop(shared: &Shared) {
-    // Flag the thread so nested parallel helpers run inline (serial,
-    // bitwise-identical): the pool's parallelism is across jobs.
-    let _guard = crate::enter_worker();
     loop {
         let job = {
             let mut q = relock(&shared.queue);
@@ -361,20 +353,5 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.panics, 1);
         assert_eq!(stats.executed, 2);
-    }
-
-    #[test]
-    fn pool_workers_run_nested_kernels_inline() {
-        let pool = WorkerPool::new(2, 4);
-        let flags = Arc::new(Mutex::new(Vec::new()));
-        let f = Arc::clone(&flags);
-        pool.submit(Box::new(move || {
-            f.lock()
-                .unwrap()
-                .push((crate::in_worker(), crate::current_threads()));
-        }))
-        .unwrap();
-        pool.shutdown();
-        assert_eq!(*flags.lock().unwrap(), vec![(true, 1)]);
     }
 }

@@ -24,10 +24,9 @@
 //!   current thread's take/hit/alloc counts, so a bench or test can
 //!   assert a steady-state inner loop performs *zero* fresh allocations
 //!   (`reset_stats`, run, check `fresh_allocs == 0`) without being
-//!   perturbed by other test threads. Scoped worker threads are
-//!   short-lived, so their pools (and counts) die with them — pooling
-//!   pays off on the serial paths and on the caller thread, which is
-//!   exactly where the single-core hot loops run.
+//!   perturbed by other test threads. Kernels run serially on the
+//!   calling thread, so a long-lived thread (a pool worker, a client)
+//!   keeps its warm buffers from one request to the next.
 
 use std::cell::{Cell, RefCell};
 

@@ -34,18 +34,17 @@
 //!   `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`. That fixed shape is what
 //!   lets the autovectorizer keep 8 independent partial sums in SIMD
 //!   registers — and because the *reference implements the same order*,
-//!   serial, SIMD-shaped, and every parallel partition agree bitwise.
+//!   the naive and SIMD-shaped loops agree bitwise.
 //!   The lane order is the single canonical semantics; there is no
 //!   "fast but different" mode.
 //! * **Order-preserving restructuring (everything else).** `spmm_dense`
-//!   and `Matrix::matmul` swap loops so a block of output columns lives
-//!   in registers while streaming the sparse row / the `k` dimension;
-//!   per output element the contributions still arrive in exactly the
-//!   naive order, so no reassociation happens at all. `spmv_t` keeps
-//!   its scatter order and only drops bounds checks. Index arithmetic
-//!   inside the kernels uses `get_unchecked` — sound because
-//!   [`CsrMatrix::from_parts`] validates every column index against
-//!   `ncols` up front.
+//!   swaps loops so a block of output columns lives in registers while
+//!   streaming the sparse row; per output element the contributions
+//!   still arrive in exactly the naive order, so no reassociation
+//!   happens at all. `spmv_t` keeps its scatter order and only drops
+//!   bounds checks. Index arithmetic inside the kernels uses
+//!   `get_unchecked` — sound because [`CsrMatrix::from_parts`]
+//!   validates every column index against `ncols` up front.
 //!
 //! Scratch buffers (accumulators, markers, touched lists, wrapper
 //! outputs) come from the per-thread pool in
@@ -54,35 +53,8 @@
 //! marker-guarded, which keeps pooling invisible to the results.
 
 use crate::coo::CooMatrix;
-use freehgc_parallel as par;
 use freehgc_parallel::workspace as ws;
-use std::ops::Range;
 
-/// Minimum rows a SpGEMM worker may own (caps the chunk count so tall
-/// ultra-sparse matrices don't over-partition).
-const SPGEMM_ROW_GRAIN: usize = 32;
-/// Minimum stored entries of `A` a SpGEMM worker must own — each entry
-/// triggers a row-of-`B` merge, so this is the work proxy that keeps
-/// near-empty matrices (tiny graphs, short meta-path prefixes) serial.
-const SPGEMM_NNZ_GRAIN: usize = 2048;
-/// Minimum stored entries a worker must own before SpMV/transpose go
-/// parallel. These kernels are cheap per entry, so the grain must be
-/// several multiples of a scoped-thread spawn (~tens of µs) to pay off.
-const SPARSE_NNZ_GRAIN: usize = 16_384;
-/// Minimum scalar multiply-adds a worker must own before the sparse ×
-/// dense product goes parallel.
-const DENSE_FLOP_GRAIN: usize = 65_536;
-/// Minimum output length before SpMVᵀ goes parallel. Its two-phase
-/// binning streams every entry twice, which only beats the serial
-/// scatter when the output vector is too large to sit in cache (small
-/// outputs make serial scattered adds near-optimal on any core count).
-const SPMVT_MIN_COLS: usize = 32_768;
-/// Minimum stored entries a SpMVᵀ worker must own.
-const SPMVT_NNZ_GRAIN: usize = 16_384;
-/// Minimum worker count before SpMVᵀ goes parallel at all: the
-/// order-preserving redistribution costs a few× the serial scatter per
-/// entry, so fewer workers than this cannot amortize it.
-const SPMVT_MIN_CHUNKS: usize = 4;
 /// Column width of one SpGEMM accumulator tile. The accumulator and
 /// marker arrays together cost 8 bytes per column; a 32 Ki-column tile
 /// keeps them at 256 KiB — inside L2 — so merging rows of `B` hits a
@@ -276,11 +248,6 @@ impl ColTile {
     }
 }
 
-/// One source row chunk's counting-sorted contributions: bin offsets
-/// per destination column chunk (length `chunks + 1`) plus the flat
-/// `(column, value·x)` buffer they index into.
-type SpmvTBin = (Vec<usize>, Vec<(u32, f32)>);
-
 /// An immutable CSR matrix. Rows are contiguous index/value slices with
 /// strictly increasing column indices.
 #[derive(Clone, Debug, PartialEq)]
@@ -440,12 +407,6 @@ impl CsrMatrix {
     }
 
     /// Transpose, producing a CSR matrix of shape `ncols × nrows`.
-    ///
-    /// Parallelized by *output-row ownership*: each worker owns a
-    /// contiguous range of original columns and fills the corresponding
-    /// disjoint region of the output buffers, visiting original rows in
-    /// increasing order — exactly the fill order of the serial path, so
-    /// the result is bitwise-identical at any thread count.
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.ncols + 1];
         for &c in self.indices.iter() {
@@ -457,24 +418,15 @@ impl CsrMatrix {
         let indptr = counts;
         let mut indices = vec![0u32; self.nnz()];
         let mut values = vec![0f32; self.nnz()];
-        let chunks = par::chunks_for(self.nnz(), SPARSE_NNZ_GRAIN, self.ncols);
-        if chunks <= 1 {
-            self.transpose_fill(0, self.ncols, &indptr, &mut indices, &mut values);
-        } else {
-            let ranges = par::chunk_ranges(self.ncols, chunks);
-            let lens: Vec<usize> = ranges
-                .iter()
-                .map(|r| indptr[r.end] - indptr[r.start])
-                .collect();
-            let islices = par::split_by_lens(&mut indices, lens.iter().copied());
-            let vslices = par::split_by_lens(&mut values, lens);
-            let work: Vec<_> = ranges
-                .into_iter()
-                .zip(islices.into_iter().zip(vslices))
-                .collect();
-            par::scoped_map(work, |_, (r, (isl, vsl))| {
-                self.transpose_fill(r.start, r.end, &indptr, isl, vsl);
-            });
+        let mut cursor = indptr[..self.ncols].to_vec();
+        for r in 0..self.nrows {
+            let (cols, vals) = self.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let slot = &mut cursor[c as usize];
+                indices[*slot] = r as u32;
+                values[*slot] = v;
+                *slot += 1;
+            }
         }
         // Rows of the transpose are filled in increasing original-row order,
         // so column indices are already sorted.
@@ -484,41 +436,6 @@ impl CsrMatrix {
             indptr: indptr.into_boxed_slice(),
             indices: indices.into_boxed_slice(),
             values: values.into_boxed_slice(),
-        }
-    }
-
-    /// Fills the transpose's output rows for original columns
-    /// `lo..hi`; `indices`/`values` cover exactly
-    /// `indptr[lo]..indptr[hi]` of the output buffers.
-    fn transpose_fill(
-        &self,
-        lo: usize,
-        hi: usize,
-        indptr: &[usize],
-        indices: &mut [u32],
-        values: &mut [f32],
-    ) {
-        let base = indptr[lo];
-        let mut cursor: Vec<usize> = indptr[lo..hi].iter().map(|&p| p - base).collect();
-        let full = lo == 0 && hi == self.ncols;
-        for r in 0..self.nrows {
-            let (cols, vals) = self.row(r);
-            // Row columns are sorted, so the slice owned by this worker
-            // is a contiguous window found by binary search.
-            let (s, e) = if full {
-                (0, cols.len())
-            } else {
-                (
-                    cols.partition_point(|&c| (c as usize) < lo),
-                    cols.partition_point(|&c| (c as usize) < hi),
-                )
-            };
-            for (&c, &v) in cols[s..e].iter().zip(&vals[s..e]) {
-                let slot = &mut cursor[c as usize - lo];
-                indices[*slot] = r as u32;
-                values[*slot] = v;
-                *slot += 1;
-            }
         }
     }
 
@@ -701,16 +618,14 @@ impl CsrMatrix {
         }
     }
 
-    /// Dense `y = A·x` (sparse matrix, dense vector). Row-partitioned
-    /// parallel: each worker owns a disjoint slice of `y`. The output
+    /// Dense `y = A·x` (sparse matrix, dense vector). The output
     /// buffer comes from the workspace pool ([`ws::take_f32`]) and is
     /// detached to the caller, so iterative callers on a warm thread
     /// allocate nothing.
     ///
     /// Per-row reduction uses the canonical 8-lane order (see the
     /// module docs); [`CsrMatrix::spmv_ref`] is the naive oracle with
-    /// the same semantics, [`CsrMatrix::spmv_seq`] the retained
-    /// pre-rework sequential-sum kernel for throughput comparison.
+    /// the same semantics.
     pub fn spmv(&self, x: &[f32]) -> Vec<f32> {
         let mut y = ws::take_f32(self.nrows);
         self.spmv_into(x, &mut y);
@@ -723,30 +638,16 @@ impl CsrMatrix {
     pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.ncols, "vector length mismatch");
         assert_eq!(y.len(), self.nrows, "output length mismatch");
-        let chunks = par::chunks_for(self.nnz(), SPARSE_NNZ_GRAIN, self.nrows);
-        if chunks <= 1 {
-            self.spmv_rows(x, 0..self.nrows, y);
-        } else {
-            let ranges = par::chunk_ranges(self.nrows, chunks);
-            let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-            par::par_write_chunks(ranges, lens, y, |_, r, ys| self.spmv_rows(x, r, ys));
-        }
-    }
-
-    /// `y[i] = A[rows.start + i, :] · x` for the given row range, in the
-    /// canonical 8-lane reduction order. Serial path and every parallel
-    /// partition run exactly this per-row kernel.
-    fn spmv_rows(&self, x: &[f32], rows: Range<usize>, y: &mut [f32]) {
-        for (i, r) in rows.enumerate() {
+        for (r, yr) in y.iter_mut().enumerate() {
             let (cols, vals) = self.row(r);
-            y[i] = dot_lanes(cols, vals, x);
+            *yr = dot_lanes(cols, vals, x);
         }
     }
 
     /// Naive reference for [`CsrMatrix::spmv`]: same canonical 8-lane
     /// reduction order, written as the obvious scalar loop (no lane
     /// blocking, no unchecked indexing). The optimized kernel is pinned
-    /// bitwise-equal to this at every thread count.
+    /// bitwise-equal to this.
     pub fn spmv_ref(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.ncols, "vector length mismatch");
         (0..self.nrows)
@@ -757,25 +658,6 @@ impl CsrMatrix {
                     lanes[j % 8] += v * x[c as usize];
                 }
                 combine_lanes(lanes)
-            })
-            .collect()
-    }
-
-    /// The retained pre-rework SpMV: one sequential running sum per row.
-    /// Different (legacy) reduction order than the canonical lanes, so
-    /// it is **not** bitwise-comparable to [`CsrMatrix::spmv`] — it
-    /// exists purely as the throughput baseline the `micro` bench leg
-    /// measures the rework against.
-    pub fn spmv_seq(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.ncols, "vector length mismatch");
-        (0..self.nrows)
-            .map(|r| {
-                let (cols, vals) = self.row(r);
-                let mut acc = 0f32;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    acc += v * x[c as usize];
-                }
-                acc
             })
             .collect()
     }
@@ -809,59 +691,12 @@ impl CsrMatrix {
         y
     }
 
-    /// In-place `y = Aᵀ·x`, overwriting `y` (length `ncols`).
-    ///
-    /// Parallelized in two order-preserving phases: row-chunk workers
-    /// bin each contribution `A[r,c]·x[r]` by destination column chunk
-    /// (visiting rows, and within a row the sorted columns, in order),
-    /// then column-chunk owners apply their bins in source-chunk order.
-    /// Per output element the additions therefore happen in exactly the
-    /// increasing-row order of the serial scatter loop — bitwise
-    /// identical at any thread count. The parallel path streams every
-    /// entry twice, so it only engages when the output is large enough
-    /// that the serial scatter thrashes cache ([`SPMVT_MIN_COLS`]),
-    /// there is enough work per chunk ([`SPMVT_NNZ_GRAIN`]), and the
-    /// machine has more than one real core — a `FREEHGC_THREADS` budget
-    /// above the core count only timeshares the redistribution, which
-    /// can then never be bought back.
+    /// In-place `y = Aᵀ·x`, overwriting `y` (length `ncols`). Same
+    /// accumulation order as [`CsrMatrix::spmv_t_ref`] — the rework only
+    /// removes the per-add bounds check on the scattered destination.
     pub fn spmv_t_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.nrows, "vector length mismatch");
         assert_eq!(y.len(), self.ncols, "output length mismatch");
-        let mut chunks = if self.ncols >= SPMVT_MIN_COLS && par::machine_parallelism() >= 2 {
-            par::chunks_for(self.nnz(), SPMVT_NNZ_GRAIN, self.nrows.min(self.ncols))
-        } else {
-            1
-        };
-        if chunks < SPMVT_MIN_CHUNKS {
-            chunks = 1;
-        }
-        if chunks <= 1 {
-            self.spmv_t_serial(x, y);
-        } else {
-            self.spmv_t_binned(x, y, chunks);
-        }
-    }
-
-    /// [`CsrMatrix::spmv_t_into`] with the chunk count forced: two or
-    /// more chunks take the two-phase binned path regardless of the
-    /// size and core-count gates, one (or zero) the serial scatter.
-    /// Bitwise-identical either way — this exists so tests and benches
-    /// on single-core hosts (where the gate keeps the public entry
-    /// serial) can still exercise and verify the parallel path.
-    pub fn spmv_t_into_chunked(&self, x: &[f32], y: &mut [f32], chunks: usize) {
-        assert_eq!(x.len(), self.nrows, "vector length mismatch");
-        assert_eq!(y.len(), self.ncols, "output length mismatch");
-        if chunks <= 1 {
-            self.spmv_t_serial(x, y);
-        } else {
-            self.spmv_t_binned(x, y, chunks);
-        }
-    }
-
-    /// Serial scatter (the `FREEHGC_THREADS=1` path). Same accumulation
-    /// order as [`CsrMatrix::spmv_t_ref`] — the rework only removes the
-    /// per-add bounds check on the scattered destination.
-    fn spmv_t_serial(&self, x: &[f32], y: &mut [f32]) {
         y.fill(0.0);
         for r in 0..self.nrows {
             let xr = x[r];
@@ -876,78 +711,11 @@ impl CsrMatrix {
         }
     }
 
-    /// The order-preserving two-phase path (see [`CsrMatrix::spmv_t_into`]).
-    fn spmv_t_binned(&self, x: &[f32], y: &mut [f32], chunks: usize) {
-        y.fill(0.0);
-        let row_ranges = par::chunk_ranges(self.nrows, chunks);
-        let col_ranges = par::chunk_ranges(self.ncols, chunks);
-        // Phase 1: each source row chunk partitions its contributions
-        // `A[r,c]·x[r]` by destination column chunk — a counting sort
-        // over destinations. The counting pass sizes every bin exactly,
-        // so the fill pass writes into one flat right-sized allocation
-        // (no per-push growth, no nested-Vec bookkeeping); within each
-        // bin, entries stay in (row, column) order. Columns are sorted,
-        // so the destination chunk only ever advances within a row.
-        let bins: Vec<SpmvTBin> = par::scoped_map(row_ranges, |_, rr| {
-            let mut counts = vec![0usize; col_ranges.len()];
-            for r in rr.clone() {
-                if x[r] == 0.0 {
-                    continue;
-                }
-                let mut dst = 0usize;
-                for &c in self.row(r).0 {
-                    while c as usize >= col_ranges[dst].end {
-                        dst += 1;
-                    }
-                    counts[dst] += 1;
-                }
-            }
-            let mut offsets = Vec::with_capacity(col_ranges.len() + 1);
-            let mut total = 0usize;
-            offsets.push(0);
-            for &n in &counts {
-                total += n;
-                offsets.push(total);
-            }
-            let mut flat = vec![(0u32, 0f32); total];
-            let mut cursor = offsets[..col_ranges.len()].to_vec();
-            for r in rr {
-                let xr = x[r];
-                if xr == 0.0 {
-                    continue;
-                }
-                let (cols, vals) = self.row(r);
-                let mut dst = 0usize;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    while c as usize >= col_ranges[dst].end {
-                        dst += 1;
-                    }
-                    flat[cursor[dst]] = (c, v * xr);
-                    cursor[dst] += 1;
-                }
-            }
-            (offsets, flat)
-        });
-        // Phase 2: each destination owner applies its bins in source
-        // order, preserving the global increasing-row accumulation.
-        let lens: Vec<usize> = col_ranges.iter().map(|r| r.len()).collect();
-        let yslices = par::split_by_lens(y, lens);
-        let work: Vec<_> = col_ranges.iter().zip(yslices).collect();
-        par::scoped_map(work, |dst, (cr, ys)| {
-            for (offsets, flat) in &bins {
-                for &(c, contrib) in &flat[offsets[dst]..offsets[dst + 1]] {
-                    ys[c as usize - cr.start] += contrib;
-                }
-            }
-        });
-    }
-
     /// Dense `Y = A·X` where `X` is row-major `ncols × dim`.
     /// This is the feature-propagation kernel of the HGNN pre-processing.
-    /// Row-partitioned parallel: each worker owns a disjoint block of
-    /// output rows. The output comes from the workspace pool and is
-    /// detached; hot callers use [`CsrMatrix::spmm_dense_into`] to
-    /// reuse their own buffer. [`CsrMatrix::spmm_dense_ref`] is the
+    /// The output comes from the workspace pool and is detached; hot
+    /// callers use [`CsrMatrix::spmm_dense_into`] to reuse their own
+    /// buffer. [`CsrMatrix::spmm_dense_ref`] is the
     /// retained naive kernel with identical per-element accumulation
     /// order (the rework keeps an output block in registers instead of
     /// re-loading it per sparse entry — it never reassociates).
@@ -960,21 +728,6 @@ impl CsrMatrix {
     /// In-place `Y = A·X`, overwriting `y` (length `nrows * dim`; prior
     /// contents are ignored — every output element is stored exactly
     /// once).
-    pub fn spmm_dense_into(&self, x: &[f32], dim: usize, y: &mut [f32]) {
-        assert_eq!(x.len(), self.ncols * dim, "dense operand shape mismatch");
-        assert_eq!(y.len(), self.nrows * dim, "dense output shape mismatch");
-        let chunks = par::chunks_for(self.nnz().saturating_mul(dim), DENSE_FLOP_GRAIN, self.nrows);
-        if chunks <= 1 {
-            self.spmm_rows(x, dim, 0..self.nrows, y);
-        } else {
-            let ranges = par::chunk_ranges(self.nrows, chunks);
-            let lens: Vec<usize> = ranges.iter().map(|r| r.len() * dim).collect();
-            par::par_write_chunks(ranges, lens, y, |_, r, ys| self.spmm_rows(x, dim, r, ys));
-        }
-    }
-
-    /// The dense rows of `A·X` for the given row range, written into
-    /// `y` (length `rows.len() * dim`).
     ///
     /// The loop is column-block-outer: an 8-wide block of the output
     /// row lives in a register accumulator while the sparse row streams
@@ -983,10 +736,12 @@ impl CsrMatrix {
     /// contributions still arrive in sparse-row order — exactly the
     /// naive order of [`CsrMatrix::spmm_dense_ref`] — so the results
     /// are bitwise-identical.
-    fn spmm_rows(&self, x: &[f32], dim: usize, rows: Range<usize>, y: &mut [f32]) {
-        for (i, r) in rows.enumerate() {
+    pub fn spmm_dense_into(&self, x: &[f32], dim: usize, y: &mut [f32]) {
+        assert_eq!(x.len(), self.ncols * dim, "dense operand shape mismatch");
+        assert_eq!(y.len(), self.nrows * dim, "dense output shape mismatch");
+        for r in 0..self.nrows {
             let (cols, vals) = self.row(r);
-            let out = &mut y[i * dim..(i + 1) * dim];
+            let out = &mut y[r * dim..(r + 1) * dim];
             let mut j = 0usize;
             while j + 8 <= dim {
                 let mut lanes = [0f32; 8];
@@ -1042,21 +797,12 @@ impl CsrMatrix {
     ///
     /// The per-row kernel uses the visited-marker accumulator described
     /// in the module docs: a generation counter per column replaces the
-    /// `== 0.0` occupancy probe, an exact per-chunk upper-bound prepass
+    /// `== 0.0` occupancy probe, an exact upper-bound prepass
     /// sizes the output buffers once (no regrowth), scratch comes from
     /// the workspace pool, and right-hand sides at least
     /// `2 × SPGEMM_TILE_COLS` wide are split into column tiles so the
     /// accumulator stays cache-resident. Output is pinned bitwise-equal
     /// to the retained naive [`CsrMatrix::spgemm_serial`].
-    ///
-    /// Row-partitioned parallel in two phases: each worker runs the
-    /// kernel over its contiguous row chunk into chunk-local buffers
-    /// (recording per-row counts, which double as the symbolic result),
-    /// a serial prefix sum turns the counts into the exact `indptr`
-    /// offsets, and the chunk buffers are copied into their disjoint
-    /// regions of the final arrays in parallel. Every row is produced by
-    /// the same per-row kernel as the serial path, so the output is
-    /// bitwise-identical at any thread count.
     pub fn spgemm(&self, other: &CsrMatrix) -> CsrMatrix {
         self.spgemm_opt(other, SPGEMM_TILE_COLS)
     }
@@ -1074,55 +820,16 @@ impl CsrMatrix {
     fn spgemm_opt(&self, other: &CsrMatrix, tile_cols: usize) -> CsrMatrix {
         assert_eq!(self.ncols, other.nrows, "inner dimension mismatch");
         let n = self.nrows;
-        // Tiles are built once and shared by every worker; below the
-        // width gate the whole accumulator already fits in cache and
-        // the un-tiled path is strictly cheaper.
+        // Below the width gate the whole accumulator already fits in
+        // cache and the un-tiled path is strictly cheaper.
         let tiles: Option<Vec<ColTile>> =
             (other.ncols >= 2 * tile_cols).then(|| ColTile::split(other, tile_cols));
-        let chunks = par::chunks_for(self.nnz(), SPGEMM_NNZ_GRAIN, n / SPGEMM_ROW_GRAIN);
-        if chunks <= 1 {
-            let (row_lens, indices, values) = self.spgemm_rows_opt(other, tiles.as_deref(), 0..n);
-            return Self::assemble(n, other.ncols, &row_lens, indices, values);
-        }
-        let ranges = par::chunk_ranges(n, chunks);
-        let parts: Vec<(Vec<usize>, Vec<u32>, Vec<f32>)> = par::scoped_map(ranges, |_, r| {
-            self.spgemm_rows_opt(other, tiles.as_deref(), r)
-        });
-
-        // Exact offsets from the per-row counts.
-        let mut indptr = Vec::with_capacity(n + 1);
-        indptr.push(0usize);
-        let mut total = 0usize;
-        for (row_lens, _, _) in &parts {
-            for &len in row_lens {
-                total += len;
-                indptr.push(total);
-            }
-        }
-        let mut indices = vec![0u32; total];
-        let mut values = vec![0f32; total];
-        let chunk_lens: Vec<usize> = parts.iter().map(|(_, ci, _)| ci.len()).collect();
-        let islices = par::split_by_lens(&mut indices, chunk_lens.iter().copied());
-        let vslices = par::split_by_lens(&mut values, chunk_lens);
-        let fill: Vec<_> = parts
-            .into_iter()
-            .zip(islices.into_iter().zip(vslices))
-            .collect();
-        par::scoped_map(fill, |_, ((_, ci, cv), (isl, vsl))| {
-            isl.copy_from_slice(&ci);
-            vsl.copy_from_slice(&cv);
-        });
-        CsrMatrix {
-            nrows: n,
-            ncols: other.ncols,
-            indptr: indptr.into_boxed_slice(),
-            indices: indices.into_boxed_slice(),
-            values: values.into_boxed_slice(),
-        }
+        let (row_lens, indices, values) = self.spgemm_rows_opt(other, tiles.as_deref());
+        Self::assemble(n, other.ncols, &row_lens, indices, values)
     }
 
     /// Builds a matrix from per-row lengths plus flat column/value
-    /// buffers (the chunk-kernel output format).
+    /// buffers (the row-kernel output format).
     fn assemble(
         nrows: usize,
         ncols: usize,
@@ -1154,23 +861,19 @@ impl CsrMatrix {
     pub fn spgemm_serial(&self, other: &CsrMatrix) -> CsrMatrix {
         assert_eq!(self.ncols, other.nrows, "inner dimension mismatch");
         let n = self.nrows;
-        let (row_lens, indices, values) = self.spgemm_rows_naive(other, 0..n);
+        let (row_lens, indices, values) = self.spgemm_rows_naive(other);
         Self::assemble(n, other.ncols, &row_lens, indices, values)
     }
 
     /// The pre-rework per-row kernel behind [`CsrMatrix::spgemm_serial`].
-    fn spgemm_rows_naive(
-        &self,
-        other: &CsrMatrix,
-        rows: Range<usize>,
-    ) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
+    fn spgemm_rows_naive(&self, other: &CsrMatrix) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
         let m = other.ncols;
         let mut acc = vec![0f32; m];
         let mut touched: Vec<u32> = Vec::new();
-        let mut row_lens = Vec::with_capacity(rows.len());
+        let mut row_lens = Vec::with_capacity(self.nrows);
         let mut indices: Vec<u32> = Vec::new();
         let mut values: Vec<f32> = Vec::new();
-        for r in rows {
+        for r in 0..self.nrows {
             let before = indices.len();
             let (acols, avals) = self.row(r);
             for (&ac, &av) in acols.iter().zip(avals) {
@@ -1201,8 +904,7 @@ impl CsrMatrix {
 
     /// The optimized per-row kernel: marker-based dense accumulator,
     /// exact upper-bound prepass, pooled scratch, optional column
-    /// tiling. Both the serial path and every parallel worker run
-    /// exactly this code.
+    /// tiling.
     ///
     /// Bitwise equality with [`CsrMatrix::spgemm_rows_naive`] rests on
     /// three facts. (1) First-touch *set* vs add-to-zero differ only in
@@ -1221,14 +923,13 @@ impl CsrMatrix {
         &self,
         other: &CsrMatrix,
         tiles: Option<&[ColTile]>,
-        rows: Range<usize>,
     ) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
         // Exact upper-bound prepass: every A entry contributes at most
         // the full B row it selects, so Σ nnz(B[a_k,:]) bounds each
         // output row. The flat buffers are sized once and never regrow.
         let mut total_bound = 0usize;
         let mut max_row_bound = 0usize;
-        for r in rows.clone() {
+        for r in 0..self.nrows {
             let mut b = 0usize;
             for &ac in self.row_indices(r) {
                 b += other.row_nnz(ac as usize);
@@ -1244,11 +945,11 @@ impl CsrMatrix {
         let mut marker = ws::take_u32_zeroed(acc_width);
         let mut touched = ws::take_u32(0);
         touched.reserve(max_row_bound.min(acc_width));
-        let mut row_lens = Vec::with_capacity(rows.len());
+        let mut row_lens = Vec::with_capacity(self.nrows);
         let mut indices: Vec<u32> = Vec::with_capacity(total_bound);
         let mut values: Vec<f32> = Vec::with_capacity(total_bound);
         let mut gen = 0u32;
-        for r in rows {
+        for r in 0..self.nrows {
             let before = indices.len();
             let (acols, avals) = self.row(r);
             if let (&[ac], &[av]) = (acols, avals) {
@@ -1272,8 +973,7 @@ impl CsrMatrix {
                         // more than a width-long zero + scan, so the
                         // inner loop degenerates to a branch-free
                         // scattered FMA. The mode is chosen per row
-                        // from the (thread-independent) bound, so every
-                        // partition makes the same choice.
+                        // from its product bound.
                         let bound: usize = acols.iter().map(|&ac| other.row_nnz(ac as usize)).sum();
                         if 2 * bound >= other.ncols {
                             acc.fill(0.0);
@@ -1595,25 +1295,6 @@ mod tests {
         let mut y = vec![7.0; 3]; // stale contents must be overwritten
         m.spmv_t_into(&x, &mut y);
         assert_eq!(y, m.spmv_t(&x));
-    }
-
-    #[test]
-    fn spgemm_serial_equals_parallel_path() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut edges = Vec::new();
-        // nnz must clear SPGEMM_NNZ_GRAIN on several chunks so the
-        // parallel path actually runs.
-        for r in 0..300u32 {
-            for _ in 0..16 {
-                edges.push((r, rng.gen_range(0..300u32)));
-            }
-        }
-        let a = CsrMatrix::from_edges(300, 300, &edges);
-        freehgc_parallel::set_thread_override(Some(4));
-        let parallel = a.spgemm(&a);
-        freehgc_parallel::set_thread_override(None);
-        assert_eq!(parallel, a.spgemm_serial(&a));
     }
 
     #[test]

@@ -11,31 +11,18 @@
 //! single dense row, 1-column outputs, every lane-remainder row length
 //! (`len % 8` from 0 to 7), single-entry rows (the SpGEMM fast path),
 //! forced column tiles, and dense rows that trip the marker-scan
-//! emission — at thread overrides 1 and 4.
+//! emission.
 //!
 //! Values are quarter-integer multiples in ±2 so exact duplicates (and
 //! exact cancellations to ±0.0) occur, exercising the zero-filter and
 //! the sign-of-zero argument in the SpGEMM bitwise proof.
 
-use freehgc_parallel as par;
+use freehgc_parallel::workspace as ws;
 use freehgc_sparse::{CooMatrix, CsrMatrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use std::sync::Mutex;
-
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    par::set_thread_override(Some(n));
-    let out = f();
-    par::set_thread_override(None);
-    out
-}
-
-const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 fn random_sparse(rows: usize, cols: usize, per_row: usize, seed: u64) -> CsrMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -98,13 +85,11 @@ fn spmv_matches_canonical_reference_on_gallery() {
     for (a, label) in gallery() {
         let x = dense_vec(a.ncols(), 11);
         let reference = a.spmv_ref(&x);
-        for t in THREAD_COUNTS {
-            assert_eq!(
-                with_threads(t, || a.spmv(&x)),
-                reference,
-                "spmv diverged from spmv_ref on '{label}' at {t} threads"
-            );
-        }
+        assert_eq!(
+            a.spmv(&x),
+            reference,
+            "spmv diverged from spmv_ref on '{label}'"
+        );
     }
 }
 
@@ -113,13 +98,11 @@ fn spmv_t_matches_reference_on_gallery() {
     for (a, label) in gallery() {
         let x = dense_vec(a.nrows(), 13);
         let reference = a.spmv_t_ref(&x);
-        for t in THREAD_COUNTS {
-            assert_eq!(
-                with_threads(t, || a.spmv_t(&x)),
-                reference,
-                "spmv_t diverged from spmv_t_ref on '{label}' at {t} threads"
-            );
-        }
+        assert_eq!(
+            a.spmv_t(&x),
+            reference,
+            "spmv_t diverged from spmv_t_ref on '{label}'"
+        );
     }
 }
 
@@ -131,13 +114,11 @@ fn spmm_dense_matches_reference_on_gallery_and_all_dims() {
         for (a, label) in gallery() {
             let x = dense_vec(a.ncols() * dim, dim);
             let reference = a.spmm_dense_ref(&x, dim);
-            for t in THREAD_COUNTS {
-                assert_eq!(
-                    with_threads(t, || a.spmm_dense(&x, dim)),
-                    reference,
-                    "spmm_dense diverged on '{label}' dim={dim} at {t} threads"
-                );
-            }
+            assert_eq!(
+                a.spmm_dense(&x, dim),
+                reference,
+                "spmm_dense diverged on '{label}' dim={dim}"
+            );
             // The in-place variant must fully overwrite stale contents.
             let mut buf = vec![f32::NAN; a.nrows() * dim];
             a.spmm_dense_into(&x, dim, &mut buf);
@@ -156,13 +137,11 @@ fn spgemm_matches_naive_on_gallery_pairs() {
         // side (and with identity-like shapes via itself when square).
         let b = random_sparse(a.ncols(), 50, 4, 21);
         let reference = a.spgemm_serial(&b);
-        for t in THREAD_COUNTS {
-            assert_eq!(
-                with_threads(t, || a.spgemm(&b)),
-                reference,
-                "spgemm diverged from spgemm_serial on '{label}' at {t} threads"
-            );
-        }
+        assert_eq!(
+            a.spgemm(&b),
+            reference,
+            "spgemm diverged from spgemm_serial on '{label}'"
+        );
     }
 }
 
@@ -187,14 +166,11 @@ fn spgemm_mixed_dense_and_marker_rows_match_naive() {
     // per-row lens: bound = len × 8 vs width/2 = 32 → boundary at 4.
     let lens: Vec<usize> = (0..40).map(|i| [0, 1, 2, 3, 4, 5, 12, 30][i % 8]).collect();
     let a = ladder(&lens, width, 62);
-    let reference = a.spgemm_serial(&b);
-    for t in THREAD_COUNTS {
-        assert_eq!(
-            with_threads(t, || a.spgemm(&b)),
-            reference,
-            "mixed dense/marker spgemm diverged at {t} threads"
-        );
-    }
+    assert_eq!(
+        a.spgemm(&b),
+        a.spgemm_serial(&b),
+        "mixed dense/marker spgemm diverged"
+    );
 }
 
 #[test]
@@ -206,13 +182,11 @@ fn spgemm_forced_tiles_match_untiled_and_naive() {
     // Tiny forced tile widths put tile boundaries inside rows, between
     // rows, and beyond the last column; all must be invisible.
     for tile in [1usize, 3, 7, 33, 50] {
-        for t in THREAD_COUNTS {
-            assert_eq!(
-                with_threads(t, || a.spgemm_with_tile(&b, tile)),
-                reference,
-                "tiled spgemm diverged at tile={tile}, {t} threads"
-            );
-        }
+        assert_eq!(
+            a.spgemm_with_tile(&b, tile),
+            reference,
+            "tiled spgemm diverged at tile={tile}"
+        );
     }
 }
 
@@ -276,10 +250,10 @@ fn warm_pool_spgemm_performs_zero_fresh_allocations() {
     std::thread::spawn(|| {
         let a = random_sparse(64, 64, 6, 71);
         let b = random_sparse(64, 64, 6, 72);
-        let warm = with_threads(1, || a.spgemm(&b)); // fills the pool
-        par::workspace::reset_stats();
-        let steady = with_threads(1, || a.spgemm(&b));
-        let stats = par::workspace::stats();
+        let warm = a.spgemm(&b); // fills the pool
+        ws::reset_stats();
+        let steady = a.spgemm(&b);
+        let stats = ws::stats();
         assert_eq!(steady, warm);
         assert_eq!(
             stats.fresh_allocs, 0,
@@ -302,9 +276,9 @@ fn warm_pool_ppr_push_into_performs_zero_allocations() {
         let cfg = freehgc_sparse::PprConfig::default();
         let mut out = vec![0f32; 80];
         freehgc_sparse::ppr_push_into(&m, &seed, &cfg, &mut out); // warm
-        par::workspace::reset_stats();
+        ws::reset_stats();
         freehgc_sparse::ppr_push_into(&m, &seed, &cfg, &mut out);
-        let stats = par::workspace::stats();
+        let stats = ws::stats();
         assert_eq!(
             stats.fresh_allocs, 0,
             "steady-state PPR must not allocate: {stats:?}"
@@ -329,9 +303,7 @@ proptest! {
         let a = random_sparse(n, k, per_row, seed);
         let b = random_sparse(k, m, per_row, seed.wrapping_add(5));
         let reference = a.spgemm_serial(&b);
-        for t in THREAD_COUNTS {
-            prop_assert_eq!(&with_threads(t, || a.spgemm(&b)), &reference);
-        }
+        prop_assert_eq!(&a.spgemm(&b), &reference);
         // A forced tile narrower than m engages tiling on any shape.
         let tile = (m / 2).max(1);
         prop_assert_eq!(&a.spgemm_with_tile(&b, tile), &reference);

@@ -125,3 +125,45 @@ proptest! {
         }
     }
 }
+
+/// Random CSR with `rows` rows, `cols` columns and about `per_row`
+/// entries per row (duplicate draws merge), values quarter-integers in
+/// ±2 so exact duplicates and cancellations occur.
+fn random_sparse(rows: usize, cols: usize, per_row: usize, seed: u64) -> CsrMatrix {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut coo = CooMatrix::new(rows, cols);
+    for r in 0..rows {
+        for _ in 0..per_row {
+            let c = rng.gen_range(0..cols as u32);
+            let v = (rng.gen_range(-8i32..=8) as f32) * 0.25;
+            coo.push(r as u32, c, v);
+        }
+    }
+    coo.to_csr()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Transposition is an involution, bit for bit, on random
+    /// rectangular matrices, and moves every stored entry to its
+    /// mirrored position.
+    #[test]
+    fn transpose_round_trips_on_random_matrices(
+        rows in 1100usize..1600,
+        cols in 1100usize..1600,
+        seed in 0u64..1000,
+    ) {
+        let a = random_sparse(rows, cols, 32, seed);
+        let t = a.transpose();
+        prop_assert_eq!((t.nrows(), t.ncols(), t.nnz()), (cols, rows, a.nnz()));
+        for r in (0..rows).step_by(97) {
+            let (cs, vs) = a.row(r);
+            for (&c, &v) in cs.iter().zip(vs) {
+                prop_assert_eq!(t.get(c as usize, r as u32), v);
+            }
+        }
+        prop_assert_eq!(t.transpose(), a);
+    }
+}

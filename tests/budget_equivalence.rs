@@ -2,8 +2,7 @@
 //! one byte budget across all four cache families, plus the
 //! priority-tiered capped snapshot — must be invisible in every output.
 //!
-//! Three contracts, each at worker-thread counts 1 and 4 (CI
-//! additionally runs the suite in its `FREEHGC_THREADS` 1/4 matrix):
+//! Three contracts:
 //!
 //! * **Budgeted vs unbounded** — a context budgeted to ½ and ¼ of the
 //!   unbounded workload footprint must produce bitwise-identical
@@ -24,18 +23,7 @@ use freehgc::core::FreeHgc;
 use freehgc::datasets::tiny;
 use freehgc::hetgraph::{CondenseContext, CondenseSpec, CondensedGraph, Condenser, HeteroGraph};
 use freehgc::hgnn::propagation::{propagate_ctx, PropagatedFeatures, PropagatedFeaturesCodec};
-use freehgc::parallel as par;
-use std::sync::{Arc, Mutex};
-
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    par::set_thread_override(Some(n));
-    let out = f();
-    par::set_thread_override(None);
-    out
-}
+use std::sync::Arc;
 
 /// FreeHGC plus all six baselines, gradient-matching ones on quick
 /// schedules.
@@ -122,7 +110,7 @@ fn run_workload(
     (grids, props)
 }
 
-/// The unbounded reference workload (at one worker) and its footprint.
+/// The unbounded reference workload and its footprint.
 fn reference() -> (
     HeteroGraph,
     Vec<CondensedGraph>,
@@ -131,7 +119,7 @@ fn reference() -> (
 ) {
     let g = tiny(51);
     let unbounded = CondenseContext::new(&g);
-    let (grids, props) = with_threads(1, || run_workload(&unbounded, &mut |_| {}));
+    let (grids, props) = run_workload(&unbounded, &mut |_| {});
     let footprint = unbounded.stats().cache_bytes as usize;
     (g, grids, props, footprint)
 }
@@ -143,43 +131,39 @@ fn budgeted_context_is_bitwise_equal_and_never_exceeds_its_budget() {
 
     for divisor in [2usize, 4] {
         let budget = (footprint / divisor).max(1);
-        for threads in [1usize, 4] {
-            let ctx = CondenseContext::new(&g).with_cache_budget(Some(budget));
-            let what = format!("budget 1/{divisor} @ {threads}t");
-            let (grids, props) = with_threads(threads, || {
-                run_workload(&ctx, &mut |st| {
-                    assert!(
-                        st.cache_peak_bytes <= budget as u64,
-                        "{what}: peak {} exceeded budget {budget}",
-                        st.cache_peak_bytes
-                    );
-                    assert!(
-                        st.cache_bytes <= budget as u64,
-                        "{what}: resident {} exceeded budget {budget}",
-                        st.cache_bytes
-                    );
-                })
-            });
-            for ((a, b), i) in want_grids.iter().zip(&grids).zip(0..) {
-                assert_condensed_equal(a, b, &format!("{what}: grid cell {i}"));
-            }
-            for ((a, b), i) in want_props.iter().zip(&props).zip(0..) {
-                assert_propagated_equal(a, b, &format!("{what}: propagation {i}"));
-            }
-            let st = ctx.stats();
-            let evictions = st.composed_evictions
-                + st.influence_evictions
-                + st.diversity_evictions
-                + st.propagated_evictions;
-            let rejected = st.composed_rejected
-                + st.influence_rejected
-                + st.diversity_rejected
-                + st.propagated_rejected;
+        let ctx = CondenseContext::new(&g).with_cache_budget(Some(budget));
+        let what = format!("budget 1/{divisor}");
+        let (grids, props) = run_workload(&ctx, &mut |st| {
             assert!(
-                evictions + rejected > 0,
-                "{what}: a fractional budget must actually constrain the caches"
+                st.cache_peak_bytes <= budget as u64,
+                "{what}: peak {} exceeded budget {budget}",
+                st.cache_peak_bytes
             );
+            assert!(
+                st.cache_bytes <= budget as u64,
+                "{what}: resident {} exceeded budget {budget}",
+                st.cache_bytes
+            );
+        });
+        for ((a, b), i) in want_grids.iter().zip(&grids).zip(0..) {
+            assert_condensed_equal(a, b, &format!("{what}: grid cell {i}"));
         }
+        for ((a, b), i) in want_props.iter().zip(&props).zip(0..) {
+            assert_propagated_equal(a, b, &format!("{what}: propagation {i}"));
+        }
+        let st = ctx.stats();
+        let evictions = st.composed_evictions
+            + st.influence_evictions
+            + st.diversity_evictions
+            + st.propagated_evictions;
+        let rejected = st.composed_rejected
+            + st.influence_rejected
+            + st.diversity_rejected
+            + st.propagated_rejected;
+        assert!(
+            evictions + rejected > 0,
+            "{what}: a fractional budget must actually constrain the caches"
+        );
     }
 }
 
@@ -188,7 +172,7 @@ fn propagated_blocks_are_evicted_first_under_pressure() {
     let (g, _, want_props, footprint) = reference();
     let budget = (footprint / 2).max(1);
     let ctx = CondenseContext::new(&g).with_cache_budget(Some(budget));
-    let (_, props) = with_threads(1, || run_workload(&ctx, &mut |_| {}));
+    let (_, props) = run_workload(&ctx, &mut |_| {});
     let st = ctx.stats();
     assert!(
         st.propagated_evictions > 0,
@@ -209,7 +193,7 @@ fn propagated_blocks_are_evicted_first_under_pressure() {
 fn capped_snapshot_round_trips_as_a_partial_context_with_counted_cold_misses() {
     let (g, want_grids, want_props, _) = reference();
     let warm = CondenseContext::new(&g);
-    with_threads(1, || run_workload(&warm, &mut |_| {}));
+    run_workload(&warm, &mut |_| {});
 
     let dir = std::env::temp_dir().join(format!("fhgc-budget-equiv-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -243,33 +227,31 @@ fn capped_snapshot_round_trips_as_a_partial_context_with_counted_cold_misses() {
         loaded
             .load_snapshot_with(&full_path, Some(&PropagatedFeaturesCodec))
             .expect("full snapshot loads");
-        with_threads(1, || run_workload(&loaded, &mut |_| {}));
+        run_workload(&loaded, &mut |_| {});
         loaded.stats().total_misses()
     };
 
-    for threads in [1usize, 4] {
-        let loaded = CondenseContext::new(&g);
-        let report = loaded
-            .load_snapshot_with(&capped_path, Some(&PropagatedFeaturesCodec))
-            .expect("a capped snapshot is still a valid snapshot");
-        assert!(
-            report.installed() > 0,
-            "{threads}t: the kept tiers must install as a working partial context"
-        );
-        let (grids, props) = with_threads(threads, || run_workload(&loaded, &mut |_| {}));
-        for ((a, b), i) in want_grids.iter().zip(&grids).zip(0..) {
-            assert_condensed_equal(a, b, &format!("capped/{threads}t: grid cell {i}"));
-        }
-        for ((a, b), i) in want_props.iter().zip(&props).zip(0..) {
-            assert_propagated_equal(a, b, &format!("capped/{threads}t: propagation {i}"));
-        }
-        assert!(
-            loaded.stats().total_misses() > full_misses,
-            "{threads}t: dropped tiers must surface as extra counted cold misses \
-             (capped {} vs full {})",
-            loaded.stats().total_misses(),
-            full_misses
-        );
+    let loaded = CondenseContext::new(&g);
+    let report = loaded
+        .load_snapshot_with(&capped_path, Some(&PropagatedFeaturesCodec))
+        .expect("a capped snapshot is still a valid snapshot");
+    assert!(
+        report.installed() > 0,
+        "the kept tiers must install as a working partial context"
+    );
+    let (grids, props) = run_workload(&loaded, &mut |_| {});
+    for ((a, b), i) in want_grids.iter().zip(&grids).zip(0..) {
+        assert_condensed_equal(a, b, &format!("capped: grid cell {i}"));
     }
+    for ((a, b), i) in want_props.iter().zip(&props).zip(0..) {
+        assert_propagated_equal(a, b, &format!("capped: propagation {i}"));
+    }
+    assert!(
+        loaded.stats().total_misses() > full_misses,
+        "dropped tiers must surface as extra counted cold misses \
+         (capped {} vs full {})",
+        loaded.stats().total_misses(),
+        full_misses
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

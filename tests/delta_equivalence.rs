@@ -2,9 +2,7 @@
 //! typed [`GraphDelta`] must be indistinguishable — in every output bit
 //! — from a cold rebuild of the mutated graph.
 //!
-//! Contracts, each exercised at worker-thread counts 1 and 4 (CI
-//! additionally runs the whole suite in its `FREEHGC_THREADS` 1/4
-//! matrix):
+//! Contracts:
 //!
 //! * **Bitwise equivalence** — for FreeHGC and every baseline, a
 //!   condensation (and feature propagation) served from a delta-seeded
@@ -27,19 +25,8 @@ use freehgc::hetgraph::{
     HeteroGraph,
 };
 use freehgc::hgnn::propagation::{propagate_ctx, PropagatedFeaturesCodec};
-use freehgc::parallel as par;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    par::set_thread_override(Some(n));
-    let out = f();
-    par::set_thread_override(None);
-    out
-}
+use std::sync::Arc;
 
 /// FreeHGC plus all baselines, gradient-matching ones on quick schedules.
 fn condensers() -> Vec<Box<dyn Condenser>> {
@@ -144,55 +131,53 @@ fn warm(ctx: &CondenseContext<'_>, spec: &CondenseSpec) {
 
 #[test]
 fn delta_updated_context_matches_cold_rebuild_for_every_condenser() {
-    for threads in [1usize, 4] {
-        for variant in [0u64, 1] {
-            let what = format!("{threads}t/v{variant}");
-            let g_old = Arc::new(tiny(61 + variant));
-            let spec = CondenseSpec::new(0.25).with_max_hops(2).with_seed(5);
-            let delta = one_relation_delta(&g_old, variant);
-            let mut mutated = (*g_old).clone();
-            mutated.apply_delta(&delta);
-            let g_new = Arc::new(mutated);
-            assert_ne!(
-                g_old.fingerprint(),
-                g_new.fingerprint(),
-                "{what}: the delta must change the graph"
-            );
+    for variant in [0u64, 1] {
+        let what = format!("v{variant}");
+        let g_old = Arc::new(tiny(61 + variant));
+        let spec = CondenseSpec::new(0.25).with_max_hops(2).with_seed(5);
+        let delta = one_relation_delta(&g_old, variant);
+        let mut mutated = (*g_old).clone();
+        mutated.apply_delta(&delta);
+        let g_new = Arc::new(mutated);
+        assert_ne!(
+            g_old.fingerprint(),
+            g_new.fingerprint(),
+            "{what}: the delta must change the graph"
+        );
 
-            // Cold reference: a fresh context over the mutated graph.
-            let reg_cold = ContextRegistry::new();
-            let ctx_cold = reg_cold.context_for(&g_new, &spec);
-            let reference: Vec<CondensedGraph> = condensers()
-                .iter()
-                .map(|c| with_threads(threads, || c.condense_in(&ctx_cold, &spec)))
-                .collect();
-            let pf_cold = with_threads(threads, || propagate_ctx(&ctx_cold, 2, 16));
+        // Cold reference: a fresh context over the mutated graph.
+        let reg_cold = ContextRegistry::new();
+        let ctx_cold = reg_cold.context_for(&g_new, &spec);
+        let reference: Vec<CondensedGraph> = condensers()
+            .iter()
+            .map(|c| c.condense_in(&ctx_cold, &spec))
+            .collect();
+        let pf_cold = propagate_ctx(&ctx_cold, 2, 16);
 
-            // Delta path: warm the old graph's context, then resolve the
-            // mutated graph by inheriting its surviving entries.
-            let reg = ContextRegistry::new();
-            let ctx_old = reg.context_for(&g_old, &spec);
-            with_threads(threads, || warm(&ctx_old, &spec));
-            let (ctx_new, report) = reg.resolve_delta(g_old.fingerprint(), &g_new, &spec, &delta);
-            assert!(
-                report.reused() > report.paths,
-                "{what}: entries beyond the schema-only path sets must survive \
-                 a one-relation delta, got {report:?}"
-            );
-            assert!(
-                report.dropped > 0,
-                "{what}: the delta must invalidate something, got {report:?}"
-            );
+        // Delta path: warm the old graph's context, then resolve the
+        // mutated graph by inheriting its surviving entries.
+        let reg = ContextRegistry::new();
+        let ctx_old = reg.context_for(&g_old, &spec);
+        warm(&ctx_old, &spec);
+        let (ctx_new, report) = reg.resolve_delta(g_old.fingerprint(), &g_new, &spec, &delta);
+        assert!(
+            report.reused() > report.paths,
+            "{what}: entries beyond the schema-only path sets must survive \
+             a one-relation delta, got {report:?}"
+        );
+        assert!(
+            report.dropped > 0,
+            "{what}: the delta must invalidate something, got {report:?}"
+        );
 
-            for (c, want) in condensers().iter().zip(&reference) {
-                let got = with_threads(threads, || c.condense_in(&ctx_new, &spec));
-                assert_condensed_equal(want, &got, &format!("{} delta/{what}", c.name()));
-            }
-            let pf_new = with_threads(threads, || propagate_ctx(&ctx_new, 2, 16));
-            assert_eq!(pf_new.path_names, pf_cold.path_names, "{what}: block names");
-            for (a, b) in pf_new.blocks.iter().zip(&pf_cold.blocks) {
-                assert_eq!(a.data, b.data, "{what}: propagated block bits");
-            }
+        for (c, want) in condensers().iter().zip(&reference) {
+            let got = c.condense_in(&ctx_new, &spec);
+            assert_condensed_equal(want, &got, &format!("{} delta/{what}", c.name()));
+        }
+        let pf_new = propagate_ctx(&ctx_new, 2, 16);
+        assert_eq!(pf_new.path_names, pf_cold.path_names, "{what}: block names");
+        for (a, b) in pf_new.blocks.iter().zip(&pf_cold.blocks) {
+            assert_eq!(a.data, b.data, "{what}: propagated block bits");
         }
     }
 }
@@ -222,7 +207,7 @@ fn a_delta_touching_every_edge_type_degenerates_to_a_full_rebuild() {
 
     let reg = ContextRegistry::new();
     let ctx_old = reg.context_for(&g_old, &spec);
-    with_threads(1, || warm(&ctx_old, &spec));
+    warm(&ctx_old, &spec);
     let (ctx_new, report) = reg.resolve_delta(g_old.fingerprint(), &g_new, &spec, &delta);
     // Every derived family depends on at least one relation, so nothing
     // derived survives — only the schema-only path sets (and any cached
@@ -237,11 +222,9 @@ fn a_delta_touching_every_edge_type_degenerates_to_a_full_rebuild() {
     // And the rebuild-from-scratch semantics still hold bitwise.
     let reg_cold = ContextRegistry::new();
     let ctx_cold = reg_cold.context_for(&g_new, &spec);
-    for threads in [1usize, 4] {
-        let want = with_threads(threads, || FreeHgc::default().condense_in(&ctx_cold, &spec));
-        let got = with_threads(threads, || FreeHgc::default().condense_in(&ctx_new, &spec));
-        assert_condensed_equal(&want, &got, &format!("full-rebuild delta/{threads}t"));
-    }
+    let want = FreeHgc::default().condense_in(&ctx_cold, &spec);
+    let got = FreeHgc::default().condense_in(&ctx_new, &spec);
+    assert_condensed_equal(&want, &got, "full-rebuild delta");
 }
 
 #[test]
@@ -262,7 +245,7 @@ fn an_empty_delta_is_a_noop_with_zero_invalidations() {
 
     let spec = CondenseSpec::new(0.25).with_max_hops(2).with_seed(5);
     let ctx_old = CondenseContext::new(&g);
-    with_threads(1, || warm(&ctx_old, &spec));
+    warm(&ctx_old, &spec);
     let ctx_new = CondenseContext::new(&clone);
     let report = ctx_new.seed_from(&ctx_old, &empty);
     assert_eq!(report.dropped, 0, "nothing to invalidate: {report:?}");
@@ -273,8 +256,8 @@ fn an_empty_delta_is_a_noop_with_zero_invalidations() {
     // The seeded context serves everything without recomputing: a full
     // FreeHGC run adds no new misses to the inherited families.
     let before = ctx_new.stats();
-    let want = with_threads(1, || FreeHgc::default().condense_in(&ctx_old, &spec));
-    let got = with_threads(1, || FreeHgc::default().condense_in(&ctx_new, &spec));
+    let want = FreeHgc::default().condense_in(&ctx_old, &spec);
+    let got = FreeHgc::default().condense_in(&ctx_new, &spec);
     assert_condensed_equal(&want, &got, "empty delta");
     let after = ctx_new.stats();
     assert_eq!(after.factors.1, before.factors.1, "factors re-missed");
@@ -296,7 +279,7 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
     // "Process one": warm the old graph's context and persist it.
     let reg1 = ContextRegistry::new();
     let ctx1 = reg1.context_for(&g_old, &spec);
-    with_threads(1, || warm(&ctx1, &spec));
+    warm(&ctx1, &spec);
     reg1.persist_with(&dir, &g_old, &spec, Some(&PropagatedFeaturesCodec))
         .expect("persist");
 
@@ -304,28 +287,26 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
     let reg_cold = ContextRegistry::new();
     let ctx_cold = reg_cold.context_for(&g_new, &spec);
 
-    for threads in [1usize, 4] {
-        // "Process two": no live old context — the old fingerprint's
-        // snapshot, filtered through the delta rules, seeds the resolve.
-        let reg2 = ContextRegistry::new();
-        let (ctx2, report) = reg2.resolve_delta_or_load(
-            &dir,
-            g_old.fingerprint(),
-            &g_new,
-            &spec,
-            &delta,
-            Some(&PropagatedFeaturesCodec),
-        );
-        assert_eq!(
-            reg2.snapshot_stats(),
-            (1, 0),
-            "{threads}t: the old snapshot must load (delta-filtered)"
-        );
-        assert!(report.reused() > 0, "{threads}t: {report:?}");
-        assert!(report.dropped > 0, "{threads}t: {report:?}");
-        let want = with_threads(threads, || FreeHgc::default().condense_in(&ctx_cold, &spec));
-        let got = with_threads(threads, || FreeHgc::default().condense_in(&ctx2, &spec));
-        assert_condensed_equal(&want, &got, &format!("snapshot delta/{threads}t"));
-    }
+    // "Process two": no live old context — the old fingerprint's
+    // snapshot, filtered through the delta rules, seeds the resolve.
+    let reg2 = ContextRegistry::new();
+    let (ctx2, report) = reg2.resolve_delta_or_load(
+        &dir,
+        g_old.fingerprint(),
+        &g_new,
+        &spec,
+        &delta,
+        Some(&PropagatedFeaturesCodec),
+    );
+    assert_eq!(
+        reg2.snapshot_stats(),
+        (1, 0),
+        "the old snapshot must load (delta-filtered)"
+    );
+    assert!(report.reused() > 0, "{report:?}");
+    assert!(report.dropped > 0, "{report:?}");
+    let want = FreeHgc::default().condense_in(&ctx_cold, &spec);
+    let got = FreeHgc::default().condense_in(&ctx2, &spec);
+    assert_condensed_equal(&want, &got, "snapshot delta");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,9 +1,7 @@
 //! Serving-layer equivalence: the PR-4 cache layer on top of
 //! [`CondenseContext`] must be invisible in every output.
 //!
-//! Three independent mechanisms are exercised, each at worker-thread
-//! counts 1 and 4 (CI additionally runs the whole suite in its
-//! `FREEHGC_THREADS` 1/4 matrix):
+//! Three independent mechanisms are exercised:
 //!
 //! * **Registry sharing** — condensing through a keyed
 //!   [`ContextRegistry`] (graph fingerprint → shared context) must be
@@ -25,18 +23,7 @@ use freehgc::datasets::tiny;
 use freehgc::hetgraph::{
     CondenseContext, CondenseSpec, CondensedGraph, Condenser, ContextRegistry, HeteroGraph,
 };
-use freehgc::parallel as par;
-use std::sync::{Arc, Mutex};
-
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    par::set_thread_override(Some(n));
-    let out = f();
-    par::set_thread_override(None);
-    out
-}
+use std::sync::Arc;
 
 /// FreeHGC plus all five baselines of the paper's §V-A comparison, with
 /// the gradient-matching methods on their quick schedules.
@@ -85,21 +72,15 @@ fn assert_condensed_equal(a: &CondensedGraph, b: &CondensedGraph, what: &str) {
 #[test]
 fn registry_shared_matches_fresh_for_every_condenser() {
     let g = Arc::new(tiny(31));
-    // ONE registry for the whole matrix: every method, ratio and thread
-    // count resolves the same shared context by fingerprint.
+    // ONE registry for the whole matrix: every method and ratio
+    // resolves the same shared context by fingerprint.
     let registry = ContextRegistry::new();
-    for threads in [1usize, 4] {
-        for c in condensers() {
-            for ratio in [0.15, 0.3] {
-                let spec = CondenseSpec::new(ratio).with_max_hops(2).with_seed(5);
-                let fresh = with_threads(threads, || c.condense(&g, &spec));
-                let shared = with_threads(threads, || c.condense_shared(&registry, &g, &spec));
-                assert_condensed_equal(
-                    &fresh,
-                    &shared,
-                    &format!("{} @ ratio {ratio} / {threads}t", c.name()),
-                );
-            }
+    for c in condensers() {
+        for ratio in [0.15, 0.3] {
+            let spec = CondenseSpec::new(ratio).with_max_hops(2).with_seed(5);
+            let fresh = c.condense(&g, &spec);
+            let shared = c.condense_shared(&registry, &g, &spec);
+            assert_condensed_equal(&fresh, &shared, &format!("{} @ ratio {ratio}", c.name()));
         }
     }
     // All specs share the default knobs, so the whole matrix must have
@@ -113,46 +94,41 @@ fn registry_shared_matches_fresh_for_every_condenser() {
 #[test]
 fn concurrent_cold_key_resolves_exactly_once() {
     // N requests race onto one cold registry key: single-flight must
-    // elect exactly one builder and coalesce everyone else, at worker
-    // budgets 1 and 4 (CI re-runs the suite across FREEHGC_THREADS too).
-    for threads in [1usize, 4] {
-        let g = Arc::new(tiny(35 + threads as u64));
-        let registry = ContextRegistry::new();
-        let spec = CondenseSpec::new(0.2).with_max_hops(2).with_seed(1);
-        let n = 8;
-        let barrier = std::sync::Barrier::new(n);
-        let ctxs: Vec<_> = with_threads(threads, || {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..n)
-                    .map(|_| {
-                        s.spawn(|| {
-                            barrier.wait();
-                            registry.context_for(&g, &spec)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap())
-                    .collect::<Vec<_>>()
+    // elect exactly one builder and coalesce everyone else.
+    let g = Arc::new(tiny(36));
+    let registry = ContextRegistry::new();
+    let spec = CondenseSpec::new(0.2).with_max_hops(2).with_seed(1);
+    let n = 8;
+    let barrier = std::sync::Barrier::new(n);
+    let ctxs: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    registry.context_for(&g, &spec)
+                })
             })
-        });
-        assert!(
-            ctxs.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])),
-            "{threads}t: all requests must share one context"
-        );
-        assert_eq!(
-            registry.lookup_stats(),
-            (n as u64 - 1, 1),
-            "{threads}t: exactly one miss (the leader), N-1 hits"
-        );
-        assert_eq!(
-            registry.fault_stats().duplicate_computes,
-            0,
-            "{threads}t: single-flight must prevent duplicate cold builds"
-        );
-        assert_eq!(registry.len(), 1);
-    }
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect::<Vec<_>>()
+    });
+    assert!(
+        ctxs.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])),
+        "all requests must share one context"
+    );
+    assert_eq!(
+        registry.lookup_stats(),
+        (n as u64 - 1, 1),
+        "exactly one miss (the leader), N-1 hits"
+    );
+    assert_eq!(
+        registry.fault_stats().duplicate_computes,
+        0,
+        "single-flight must prevent duplicate cold builds"
+    );
+    assert_eq!(registry.len(), 1);
 }
 
 #[test]
@@ -163,27 +139,25 @@ fn evicting_cache_matches_unbounded_and_respects_budget() {
     let unbounded = CondenseContext::for_spec(&g, &spec);
     let reference: Vec<CondensedGraph> = condensers()
         .iter()
-        .map(|c| with_threads(1, || c.condense_in(&unbounded, &spec)))
+        .map(|c| c.condense_in(&unbounded, &spec))
         .collect();
     let budget = (unbounded.composed_bytes() / 2).max(64);
 
-    for threads in [1usize, 4] {
-        let evicting = CondenseContext::for_spec(&g, &spec).with_cache_budget(Some(budget));
-        for (c, want) in condensers().iter().zip(&reference) {
-            let got = with_threads(threads, || c.condense_in(&evicting, &spec));
-            assert_condensed_equal(want, &got, &format!("{} evicting/{threads}t", c.name()));
-        }
-        let st = evicting.stats();
-        assert!(
-            st.composed_peak_bytes <= budget as u64,
-            "{threads}t: peak {} exceeded budget {budget}",
-            st.composed_peak_bytes
-        );
-        assert!(
-            st.composed_evictions + st.composed_rejected > 0,
-            "{threads}t: the halved budget must actually constrain the cache"
-        );
+    let evicting = CondenseContext::for_spec(&g, &spec).with_cache_budget(Some(budget));
+    for (c, want) in condensers().iter().zip(&reference) {
+        let got = c.condense_in(&evicting, &spec);
+        assert_condensed_equal(want, &got, &format!("{} evicting", c.name()));
     }
+    let st = evicting.stats();
+    assert!(
+        st.composed_peak_bytes <= budget as u64,
+        "peak {} exceeded budget {budget}",
+        st.composed_peak_bytes
+    );
+    assert!(
+        st.composed_evictions + st.composed_rejected > 0,
+        "the halved budget must actually constrain the cache"
+    );
 }
 
 #[test]
@@ -191,28 +165,24 @@ fn warm_diversity_bonus_matches_cold_selection() {
     let g = tiny(33);
     let budget = 10;
     let cfg = SelectionConfig::default();
-    for threads in [1usize, 4] {
-        let cold = with_threads(threads, || {
-            condense_target_in(&CondenseContext::new(&g), budget, &cfg)
-        });
-        let ctx = CondenseContext::new(&g);
-        let first = with_threads(threads, || condense_target_in(&ctx, budget, &cfg));
-        let after_first = ctx.stats().diversity;
-        assert!(after_first.1 > 0, "{threads}t: first run computes bonuses");
-        let second = with_threads(threads, || condense_target_in(&ctx, budget, &cfg));
-        let after_second = ctx.stats().diversity;
-        assert_eq!(
-            after_second.1, after_first.1,
-            "{threads}t: the warm run must not recompute any bonus"
-        );
-        assert!(
-            after_second.0 > after_first.0,
-            "{threads}t: the warm run must hit the diversity cache"
-        );
-        assert_eq!(cold.selected, first.selected, "{threads}t: cold vs fresh");
-        assert_eq!(first.selected, second.selected, "{threads}t: cold vs warm");
-        assert_eq!(first.scores, second.scores, "{threads}t: scores bitwise");
-    }
+    let cold = condense_target_in(&CondenseContext::new(&g), budget, &cfg);
+    let ctx = CondenseContext::new(&g);
+    let first = condense_target_in(&ctx, budget, &cfg);
+    let after_first = ctx.stats().diversity;
+    assert!(after_first.1 > 0, "first run computes bonuses");
+    let second = condense_target_in(&ctx, budget, &cfg);
+    let after_second = ctx.stats().diversity;
+    assert_eq!(
+        after_second.1, after_first.1,
+        "the warm run must not recompute any bonus"
+    );
+    assert!(
+        after_second.0 > after_first.0,
+        "the warm run must hit the diversity cache"
+    );
+    assert_eq!(cold.selected, first.selected, "cold vs fresh");
+    assert_eq!(first.selected, second.selected, "cold vs warm");
+    assert_eq!(first.scores, second.scores, "scores bitwise");
 }
 
 #[test]

@@ -1,9 +1,7 @@
 //! On-disk snapshot equivalence: warm-starting from a persisted context
 //! snapshot must be invisible in every output.
 //!
-//! Two contracts, each exercised at worker-thread counts 1 and 4 (CI
-//! additionally runs the whole suite in its `FREEHGC_THREADS` 1/4
-//! matrix):
+//! Two contracts:
 //!
 //! * **Round trip** — a condensation served from a snapshot loaded into
 //!   a fresh registry (a stand-in for a restarted process) must be
@@ -25,19 +23,8 @@ use freehgc::hetgraph::{
     snapshot_file_name, CondenseSpec, CondensedGraph, Condenser, ContextRegistry, HeteroGraph,
 };
 use freehgc::hgnn::propagation::{propagate_ctx, PropagatedFeaturesCodec};
-use freehgc::parallel as par;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    par::set_thread_override(Some(n));
-    let out = f();
-    par::set_thread_override(None);
-    out
-}
+use std::sync::Arc;
 
 /// FreeHGC plus all five baselines of the paper's §V-A comparison, with
 /// the gradient-matching methods on their quick schedules.
@@ -100,7 +87,7 @@ fn snapshot_round_trip_matches_fresh_for_every_condenser() {
     let reg1 = ContextRegistry::new();
     let reference: Vec<CondensedGraph> = condensers()
         .iter()
-        .map(|c| with_threads(1, || c.condense_shared(&reg1, &g, &spec)))
+        .map(|c| c.condense_shared(&reg1, &g, &spec))
         .collect();
     let ctx1 = reg1.context_for(&g, &spec);
     let pf1 = propagate_ctx(&ctx1, 2, 16);
@@ -113,39 +100,31 @@ fn snapshot_round_trip_matches_fresh_for_every_condenser() {
         spec.cache_budget()
     )));
 
-    for threads in [1usize, 4] {
-        // "Process two": a fresh registry resolves warm from disk.
-        let reg2 = ContextRegistry::new();
-        let ctx2 = reg2.resolve_or_load_with(&dir, &g, &spec, Some(&PropagatedFeaturesCodec));
-        assert_eq!(reg2.snapshot_stats(), (1, 0), "{threads}t: must load");
-        let before = ctx2.stats();
-        for (c, want) in condensers().iter().zip(&reference) {
-            let got = with_threads(threads, || c.condense_in(&ctx2, &spec));
-            assert_condensed_equal(want, &got, &format!("{} snapshot/{threads}t", c.name()));
-        }
-        // Everything the snapshot carried must be served, not redone.
-        let after = ctx2.stats();
-        assert_eq!(after.factors.1, before.factors.1, "{threads}t: factors");
-        assert_eq!(after.composed.1, before.composed.1, "{threads}t: composed");
-        assert_eq!(
-            after.influence.1, before.influence.1,
-            "{threads}t: influence"
-        );
-        assert_eq!(
-            after.diversity.1, before.diversity.1,
-            "{threads}t: diversity"
-        );
-        let pf2 = propagate_ctx(&ctx2, 2, 16);
-        let propagated = ctx2.stats().propagated;
-        assert_eq!(
-            propagated.1, before.propagated.1,
-            "{threads}t: propagated blocks come from the snapshot, never recomputed"
-        );
-        assert!(propagated.0 > 0, "{threads}t: the loaded blocks must serve");
-        assert_eq!(pf2.path_names, pf1.path_names, "{threads}t: block names");
-        for (a, b) in pf2.blocks.iter().zip(&pf1.blocks) {
-            assert_eq!(a.data, b.data, "{threads}t: propagated block bits");
-        }
+    // "Process two": a fresh registry resolves warm from disk.
+    let reg2 = ContextRegistry::new();
+    let ctx2 = reg2.resolve_or_load_with(&dir, &g, &spec, Some(&PropagatedFeaturesCodec));
+    assert_eq!(reg2.snapshot_stats(), (1, 0), "must load");
+    let before = ctx2.stats();
+    for (c, want) in condensers().iter().zip(&reference) {
+        let got = c.condense_in(&ctx2, &spec);
+        assert_condensed_equal(want, &got, &format!("{} snapshot", c.name()));
+    }
+    // Everything the snapshot carried must be served, not redone.
+    let after = ctx2.stats();
+    assert_eq!(after.factors.1, before.factors.1, "factors");
+    assert_eq!(after.composed.1, before.composed.1, "composed");
+    assert_eq!(after.influence.1, before.influence.1, "influence");
+    assert_eq!(after.diversity.1, before.diversity.1, "diversity");
+    let pf2 = propagate_ctx(&ctx2, 2, 16);
+    let propagated = ctx2.stats().propagated;
+    assert_eq!(
+        propagated.1, before.propagated.1,
+        "propagated blocks come from the snapshot, never recomputed"
+    );
+    assert!(propagated.0 > 0, "the loaded blocks must serve");
+    assert_eq!(pf2.path_names, pf1.path_names, "block names");
+    for (a, b) in pf2.blocks.iter().zip(&pf1.blocks) {
+        assert_eq!(a.data, b.data, "propagated block bits");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -158,7 +137,7 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
 
     // Persist a genuinely warm snapshot, then a cold reference run.
     let reg1 = ContextRegistry::new();
-    let reference = with_threads(1, || FreeHgc::default().condense_shared(&reg1, &g, &spec));
+    let reference = FreeHgc::default().condense_shared(&reg1, &g, &spec);
     let path = reg1.persist(&dir, &g, &spec).expect("persist");
     let good = std::fs::read(&path).unwrap();
     assert!(good.len() > 64, "snapshot must have real content");
@@ -178,18 +157,16 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
 
     for (what, bytes) in cases {
         std::fs::write(&path, &bytes).unwrap();
-        for threads in [1usize, 4] {
-            let reg = ContextRegistry::new();
-            let ctx = reg.resolve_or_load_with(&dir, &g, &spec, Some(&PropagatedFeaturesCodec));
-            assert_eq!(
-                reg.snapshot_stats(),
-                (0, 1),
-                "{what}/{threads}t: a counted rejection, never a load"
-            );
-            assert_eq!(ctx.composed_len(), 0, "{what}/{threads}t: cold");
-            let got = with_threads(threads, || FreeHgc::default().condense_in(&ctx, &spec));
-            assert_condensed_equal(&reference, &got, &format!("{what}/{threads}t"));
-        }
+        let reg = ContextRegistry::new();
+        let ctx = reg.resolve_or_load_with(&dir, &g, &spec, Some(&PropagatedFeaturesCodec));
+        assert_eq!(
+            reg.snapshot_stats(),
+            (0, 1),
+            "{what}: a counted rejection, never a load"
+        );
+        assert_eq!(ctx.composed_len(), 0, "{what}: cold");
+        let got = FreeHgc::default().condense_in(&ctx, &spec);
+        assert_condensed_equal(&reference, &got, what);
     }
 
     // A *valid* snapshot of a different graph copied under this graph's
@@ -197,19 +174,13 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
     let g2 = Arc::new(tiny(43));
     assert_ne!(g.fingerprint(), g2.fingerprint(), "distinct fixtures");
     let regx = ContextRegistry::new();
-    with_threads(1, || FreeHgc::default().condense_shared(&regx, &g2, &spec));
+    FreeHgc::default().condense_shared(&regx, &g2, &spec);
     let other = regx.persist(&dir, &g2, &spec).expect("persist other");
     std::fs::copy(&other, &path).unwrap();
-    for threads in [1usize, 4] {
-        let reg = ContextRegistry::new();
-        let ctx = reg.resolve_or_load(&dir, &g, &spec);
-        assert_eq!(
-            reg.snapshot_stats(),
-            (0, 1),
-            "wrong fingerprint/{threads}t: rejected"
-        );
-        let got = with_threads(threads, || FreeHgc::default().condense_in(&ctx, &spec));
-        assert_condensed_equal(&reference, &got, &format!("wrong fingerprint/{threads}t"));
-    }
+    let reg = ContextRegistry::new();
+    let ctx = reg.resolve_or_load(&dir, &g, &spec);
+    assert_eq!(reg.snapshot_stats(), (0, 1), "wrong fingerprint: rejected");
+    let got = FreeHgc::default().condense_in(&ctx, &spec);
+    assert_condensed_equal(&reference, &got, "wrong fingerprint");
     std::fs::remove_dir_all(&dir).ok();
 }
