@@ -693,7 +693,7 @@ fn run_memory_leg(quick: bool) -> MemoryReport {
     let load_report = loaded
         .load_snapshot_with(&capped_path, Some(&PropagatedFeaturesCodec))
         .expect("capped snapshot must load as a valid partial context");
-    let capped_installed = load_report.installed();
+    let capped_installed = load_report.reused();
     let (grid_l, props_l, _, _) = run_workload(&loaded);
     let capped_equal = grid_u.len() == grid_l.len()
         && grid_u

@@ -6,64 +6,68 @@
 //! influence scoring (Eq. 10–13), the per-path Jaccard diversity bonus of
 //! Algorithm 1 (Eq. 5–7), and meta-path feature propagation. None of that
 //! work depends on the condensation ratio, the variant, or the seed —
-//! only on the full graph — yet historically each layer rebuilt its own
-//! `MetaPathEngine` per call, so a single run paid for the same
-//! compositions up to three times and every sweep recomputed everything
-//! on an unchanged graph.
+//! only on the full graph — so it is computed once per graph, not once
+//! per call.
 //!
 //! [`CondenseContext`] owns that precompute once per full graph, behind
 //! interior mutability so it can be shared immutably (`&CondenseContext`)
-//! across methods, ratios, seeds, and threads:
+//! across methods, ratios, seeds, and threads. It keeps one cache table
+//! whose entries are tagged with one of seven families:
 //!
-//! * the enumerated meta-path sets, keyed by `(root, max_hops, max_paths)`;
-//! * the meta-path engine's single-step *factor* and composed *prefix*
-//!   caches (the Eq. 1 products), keyed by the step sequence — the
-//!   composed products live in the byte-budgeted accountant (see below);
-//! * oriented per-relation adjacencies (`from → to`, transposing stored
-//!   reverse relations), used by the leaf synthesis — including the
-//!   *negative* answer when the schema has no relation between two types;
-//! * aggregated influence-score vectors, keyed by [`InfluenceKey`]
-//!   (father type, hop/path caps, the importance backend's bit-exact
-//!   parameters, the seed-target set, and the RNG seed);
-//! * the per-path diversity bonuses `1 − Ĵ_v(ϕ)` of Algorithm 1, keyed by
-//!   [`DiversityKey`] — they depend only on the composed adjacencies and
-//!   the sibling-path grouping, never on the ratio or seed, so a ratio or
-//!   seed sweep computes each one exactly once;
-//! * propagated-feature blocks, keyed by `(max_hops, max_paths)` and
-//!   stored type-erased so the `hgnn` layer (which this crate cannot
-//!   depend on) can cache its `PropagatedFeatures` here.
+//! * **paths** — the enumerated meta-path sets, keyed by
+//!   `(root, max_hops, max_paths)`;
+//! * **factors** — the single-step row-normalized adjacencies, keyed by
+//!   the step;
+//! * **composed** — the Eq. 1 products of two or more steps, keyed by
+//!   the step sequence;
+//! * **oriented** — per-relation adjacencies (`from → to`, transposing
+//!   stored reverse relations), used by the leaf synthesis — including
+//!   the *negative* answer when the schema has no relation between two
+//!   types;
+//! * **influence** — aggregated influence-score vectors, keyed by
+//!   [`InfluenceKey`] (father type, hop/path caps, the importance
+//!   backend's bit-exact parameters, the seed-target set, and the RNG
+//!   seed);
+//! * **diversity** — the per-path diversity bonuses `1 − Ĵ_v(ϕ)` of
+//!   Algorithm 1, keyed by [`DiversityKey`] — they depend only on the
+//!   composed adjacencies and the sibling-path grouping, never on the
+//!   ratio or seed, so a ratio or seed sweep computes each one once;
+//! * **propagated** — propagated-feature blocks, keyed by
+//!   `(max_hops, max_paths)` and stored type-erased so the `hgnn` layer
+//!   (which this crate cannot depend on) can cache its
+//!   `PropagatedFeatures` here.
 //!
-//! Every cached value is the output of a deterministic pure function of
-//! the graph and the key, so caching is *transparent*: a condenser run
-//! through a warm context is bitwise-identical to a fresh run. Hit/miss
-//! counters ([`CondenseContext::stats`]) make reuse observable; the
-//! `bench_report` sweep section records them per PR.
+//! Every family goes through the same lookup-or-compute path, the same
+//! per-family hit/miss counter ([`CondenseContext::stats`]), the same
+//! sorted dump and the same install path (delta seeding and snapshot
+//! loads). Every cached value is the output of a deterministic pure
+//! function of the graph and the key, so caching is *transparent*: a
+//! condenser run through a warm context is bitwise-identical to a fresh
+//! run.
 //!
-//! # The cache accountant (one byte ceiling across four families)
+//! # Pinned and budgeted families
 //!
-//! Large schemas at high hop counts accumulate many composed
-//! adjacencies, influence vectors, diversity bonuses and — dominating
-//! everything — dense propagated-feature blocks; a serving process
-//! cannot keep them all. All four families live in one cost-aware
-//! [`CacheAccountant`] under a single byte budget
-//! ([`CondenseContext::with_cache_budget`], surfaced as
-//! `CondenseSpec::context_cache_bytes`). When inserting would exceed the
-//! budget, the accountant evicts the entries that are *cheapest to
-//! recompute per resident byte* first: each entry carries a
-//! deterministic recompute-cost estimate in one shared currency —
-//! scalar flops (the SpGEMM multiply-add count for composed products,
-//! iteration-proportional estimates for the vector families, the
-//! owning layer's reported flops for propagated blocks) — and the
+//! Paths, factors and oriented adjacencies are *pinned*: schema-sized,
+//! and every composition reads the factors anyway, so they are never
+//! charged to the byte budget and never evicted. The other four —
+//! composed, influence, diversity, propagated — are *budgeted*: they
+//! share one byte ceiling ([`CondenseContext::with_cache_budget`],
+//! surfaced as `CondenseSpec::context_cache_bytes`). When inserting
+//! would exceed the budget, the table evicts the budgeted entries that
+//! are *cheapest to recompute per resident byte* first: each entry
+//! carries a deterministic recompute-cost estimate in one shared
+//! currency — scalar flops (the SpGEMM multiply-add count for composed
+//! products, iteration-proportional estimates for the vector families,
+//! the owning layer's reported flops for propagated blocks) — and the
 //! victim is the minimum cost/byte density, ties broken toward the
 //! least recently used, then by key order. Propagated blocks have the
 //! lowest density (dense `f32` payloads, one SpMM to rebuild), so they
 //! evict first in practice; expensive deep compositions stay resident.
-//! Single-step paths never occupy budget at all — they are served by
-//! the unbounded factor cache, whose buffers would stay pinned
-//! regardless. An entry larger than the whole budget is never
-//! admitted, so the accountant's resident bytes *never* exceed the
-//! budget. Eviction only ever forces a recompute of a pure function, so
-//! a budgeted context remains bitwise-identical to an unbounded one.
+//! A single-step path is a factor, so it never occupies budget. An
+//! entry larger than the whole budget is never admitted, so resident
+//! budgeted bytes *never* exceed the budget. Eviction only ever forces
+//! a recompute of a pure function, so a budgeted context remains
+//! bitwise-identical to an unbounded one.
 //!
 //! The context borrows its graph by default ([`CondenseContext::new`]);
 //! [`CondenseContext::shared`] instead takes `Arc<HeteroGraph>` ownership
@@ -106,7 +110,7 @@ impl Counter {
 }
 
 /// A point-in-time snapshot of every cache's hit/miss counts, plus the
-/// accountant's byte and eviction ledger.
+/// byte and eviction ledger of the budgeted families.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Meta-path enumerations.
@@ -143,7 +147,7 @@ pub struct CacheCounters {
     pub diversity_bytes: u64,
     /// Resident bytes of the propagated family, as reported by the
     /// layer that owns the concrete block type (via
-    /// [`CondenseContext::propagated_sized`] or a snapshot codec's
+    /// [`CondenseContext::propagated_costed`] or a snapshot codec's
     /// `resident_bytes`); 0 for entries whose owner reports none.
     pub propagated_bytes: u64,
     /// Influence entries evicted to stay within the byte budget.
@@ -159,12 +163,12 @@ pub struct CacheCounters {
     pub diversity_rejected: u64,
     /// Propagated block sets never admitted.
     pub propagated_rejected: u64,
-    /// Resident bytes across all four accountant families right now —
-    /// the unified ledger the byte budget bounds. Always equals
+    /// Resident bytes across the four budgeted families right now — the
+    /// ledger the byte budget bounds. Always equals
     /// [`CacheCounters::resident_bytes_total`] (a debug assertion in
     /// [`CondenseContext::stats`] cross-checks the two on every call).
     pub cache_bytes: u64,
-    /// High-water mark of the unified resident bytes since the budget
+    /// High-water mark of the budgeted resident bytes since the budget
     /// was last applied (≤ budget when one is set; re-budgeting a warm
     /// context restarts the mark, for `Some` and `None` alike).
     pub cache_peak_bytes: u64,
@@ -213,20 +217,23 @@ impl CacheCounters {
     }
 }
 
-/// Per-family counts of cache entries a delta-seeded context inherited
-/// from its predecessor ([`CondenseContext::seed_from`]), plus how many
-/// the delta invalidated. The bench delta leg and the delta-equivalence
-/// suite assert on these — nonzero reuse is what makes a delta update
-/// cheaper than a cold rebuild.
+/// Per-family counts of the cache entries a context inherited — from a
+/// predecessor by delta seeding ([`CondenseContext::seed_from`]) or from
+/// a snapshot file (`decode_snapshot_into` and its delta form) — plus
+/// how many were left behind. The bench delta leg and the
+/// delta-equivalence suite assert on these: nonzero reuse is what makes
+/// a delta update cheaper than a cold rebuild.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaSeedReport {
-    /// Enumerated meta-path sets (schema-only; survive every delta).
+    /// Enumerated meta-path sets (schema-only; survive every delta, but
+    /// snapshots do not carry them).
     pub paths: usize,
     /// Single-step factors kept.
     pub factors: usize,
     /// Composed adjacencies kept.
     pub composed: usize,
-    /// Oriented per-relation adjacencies kept.
+    /// Oriented per-relation adjacencies kept (not carried by
+    /// snapshots).
     pub oriented: usize,
     /// Influence vectors kept.
     pub influence: usize,
@@ -234,7 +241,13 @@ pub struct DeltaSeedReport {
     pub diversity: usize,
     /// Propagated block sets kept.
     pub propagated: usize,
-    /// Entries the delta invalidated (across all families).
+    /// Propagated entries present in a snapshot file but skipped
+    /// because the loader supplied no
+    /// [`PropagatedCodec`](crate::snapshot::PropagatedCodec); always 0
+    /// for in-memory seeding.
+    pub propagated_skipped: usize,
+    /// Entries the delta invalidated (across all families); always 0
+    /// for exact snapshot loads.
     pub dropped: usize,
 }
 
@@ -249,16 +262,27 @@ impl DeltaSeedReport {
             + self.diversity
             + self.propagated
     }
+
+    fn count(&mut self, fam: Family) {
+        *match fam {
+            Family::Paths => &mut self.paths,
+            Family::Factors => &mut self.factors,
+            Family::Composed => &mut self.composed,
+            Family::Oriented => &mut self.oriented,
+            Family::Influence => &mut self.influence,
+            Family::Diversity => &mut self.diversity,
+            Family::Propagated => &mut self.propagated,
+        } += 1;
+    }
 }
 
-/// The per-family survival rules of selective invalidation, shared by
-/// in-memory delta seeding ([`CondenseContext::seed_from`]) and the
-/// snapshot delta loader (`decode_snapshot_delta_into`) so the two can
-/// never disagree about which entries a delta kills. Each `*_clean`
-/// method answers: is this cache entry's exact dependency set untouched
-/// by the delta? Path families are pure functions of the schema (which
-/// a delta never changes), so family cleanliness is memoized per
-/// `(root, max_hops, max_paths)`.
+/// Selective invalidation: which cache entries a [`GraphDelta`] leaves
+/// unchanged. In-memory delta seeding ([`CondenseContext::seed_from`])
+/// and the snapshot delta loader (`decode_snapshot_delta_into`) both ask
+/// [`InvalidationRules::survives`], so the two can never disagree about
+/// which entries a delta kills. Path families are pure functions of the
+/// schema (which a delta never changes), so family lookups are memoized
+/// per `(root, max_hops, max_paths)`.
 pub(crate) struct InvalidationRules<'s> {
     schema: &'s Schema,
     target: NodeTypeId,
@@ -296,68 +320,71 @@ impl<'s> InvalidationRules<'s> {
         )
     }
 
-    /// The factor of `step` reads relation `step.edge` alone.
-    pub(crate) fn factor_clean(&self, step: MetaPathStep) -> bool {
-        !self.edge_dirty[step.edge.0 as usize]
+    /// Whether every step's relation is untouched.
+    fn steps_clean(&self, steps: &[MetaPathStep]) -> bool {
+        steps.iter().all(|s| !self.edge_dirty[s.edge.0 as usize])
     }
 
-    /// A composed product reads its steps' factors.
-    pub(crate) fn steps_clean(&self, steps: &[MetaPathStep]) -> bool {
-        steps.iter().all(|s| self.factor_clean(*s))
-    }
-
-    /// `(from, to)` resolves one schema relation; the cached negative
-    /// (no relation) depends only on the schema and always survives.
-    pub(crate) fn oriented_clean(&self, from: NodeTypeId, to: NodeTypeId) -> bool {
-        match self.schema.edge_between(from, to) {
-            None => true,
-            Some((e, _)) => !self.edge_dirty[e.0 as usize],
+    /// Whether the entry under `key` survives the delta, i.e. its exact
+    /// dependency set is untouched. One rule per family:
+    ///
+    /// * **paths** — enumeration reads only the schema; always survives.
+    /// * **factors** — the factor of step `s` reads relation `s.edge`
+    ///   alone; killed iff the delta touches it.
+    /// * **composed** — a product reads its steps' factors; killed iff
+    ///   any step's edge is touched.
+    /// * **oriented** — `(from, to)` resolves one schema relation; the
+    ///   cached negative (`None`) is schema-only and always survives, a
+    ///   positive is killed iff its relation is touched.
+    /// * **influence** — scores aggregate the composed adjacencies of
+    ///   the family `Φ_L(target → father)` and never read features;
+    ///   killed iff any family path traverses a touched edge.
+    /// * **diversity** — the bonus of path `i` reads the composed
+    ///   adjacencies of `i` and its same-source-type siblings; killed
+    ///   iff any path in that group traverses a touched edge.
+    /// * **propagated** — block 0 is the raw target features and block
+    ///   `i` is `Â_i · X_source(i)`; killed iff any family path
+    ///   traverses a touched edge, or the delta rewrites the target's
+    ///   or any family source type's features.
+    pub(crate) fn survives(&mut self, key: &FamilyKey) -> bool {
+        match key {
+            FamilyKey::Paths(_) => true,
+            FamilyKey::Factors(step) => self.steps_clean(std::slice::from_ref(step)),
+            FamilyKey::Composed(steps) => self.steps_clean(steps),
+            FamilyKey::Oriented((from, to)) => match self.schema.edge_between(*from, *to) {
+                None => true,
+                Some((e, _)) => !self.edge_dirty[e.0 as usize],
+            },
+            FamilyKey::Influence(k) => {
+                let (schema, target) = (self.schema, self.target);
+                let edge_dirty = &self.edge_dirty;
+                *self
+                    .influence_memo
+                    .entry((k.father, k.max_hops, k.max_paths))
+                    .or_insert_with(|| {
+                        metapaths_to(schema, target, k.father, k.max_hops, k.max_paths)
+                            .iter()
+                            .all(|p| p.steps.iter().all(|s| !edge_dirty[s.edge.0 as usize]))
+                    })
+            }
+            &FamilyKey::Diversity((root, mh, mp, pi)) => {
+                let fam = self.family(root, mh, mp);
+                pi < fam.len() && {
+                    let src = fam[pi].source();
+                    fam.iter()
+                        .filter(|p| p.source() == src)
+                        .all(|p| self.steps_clean(&p.steps))
+                }
+            }
+            &FamilyKey::Propagated((mh, mp)) => {
+                let target = self.target;
+                let fam = self.family(target, mh, mp);
+                !self.feat_dirty[target.0 as usize]
+                    && fam.iter().all(|p| {
+                        self.steps_clean(&p.steps) && !self.feat_dirty[p.source().0 as usize]
+                    })
+            }
         }
-    }
-
-    /// Influence scores aggregate the composed adjacencies of the family
-    /// `Φ_L(target → father)` and never read features.
-    pub(crate) fn influence_clean(&mut self, father: NodeTypeId, mh: usize, mp: usize) -> bool {
-        let (schema, target) = (self.schema, self.target);
-        let edge_dirty = &self.edge_dirty;
-        *self
-            .influence_memo
-            .entry((father, mh, mp))
-            .or_insert_with(|| {
-                metapaths_to(schema, target, father, mh, mp)
-                    .iter()
-                    .all(|p| p.steps.iter().all(|s| !edge_dirty[s.edge.0 as usize]))
-            })
-    }
-
-    /// The diversity bonus of path `pi` reads the composed adjacencies
-    /// of `pi` and its same-source-type siblings within the family.
-    pub(crate) fn diversity_clean(
-        &mut self,
-        root: NodeTypeId,
-        mh: usize,
-        mp: usize,
-        pi: usize,
-    ) -> bool {
-        let fam = self.family(root, mh, mp);
-        pi < fam.len() && {
-            let src = fam[pi].source();
-            fam.iter()
-                .filter(|p| p.source() == src)
-                .all(|p| self.steps_clean(&p.steps))
-        }
-    }
-
-    /// Propagated blocks read the raw target features plus, per family
-    /// path, the path's composed adjacency and its source type's
-    /// features.
-    pub(crate) fn propagated_clean(&mut self, mh: usize, mp: usize) -> bool {
-        let target = self.target;
-        let fam = self.family(target, mh, mp);
-        !self.feat_dirty[target.0 as usize]
-            && fam
-                .iter()
-                .all(|p| self.steps_clean(&p.steps) && !self.feat_dirty[p.source().0 as usize])
     }
 }
 
@@ -393,16 +420,13 @@ pub struct InfluenceKey {
 pub type DiversityKey = (NodeTypeId, usize, usize, usize);
 
 type PathKey = (NodeTypeId, usize, usize);
-/// The type-erased value the propagated cache stores (shared with the
+/// The type-erased value the propagated family stores (shared with the
 /// snapshot layer, which round-trips these through a caller-supplied
 /// codec).
 pub(crate) type AnyArc = Arc<dyn Any + Send + Sync>;
-/// Oriented-adjacency cache: `None` is the cached *negative* answer for
-/// a type pair the schema has no relation between.
-type OrientedMap = FxHashMap<(NodeTypeId, NodeTypeId), Option<Arc<CsrMatrix>>>;
-/// One dumped oriented-cache entry (key, cached positive-or-negative
-/// answer), as handed between contexts by the delta seeding path.
-pub(crate) type OrientedEntry = ((NodeTypeId, NodeTypeId), Option<Arc<CsrMatrix>>);
+/// One cache entry as dumped and installed: key, value, resident bytes
+/// (0 for pinned families) and recompute-cost estimate.
+pub(crate) type CacheEntry = (FamilyKey, FamilyValue, usize, u64);
 
 /// The graph a context precomputes for: borrowed for single-owner use,
 /// `Arc`-shared for registry-resident `'static` contexts.
@@ -420,34 +444,50 @@ impl GraphHandle<'_> {
     }
 }
 
-/// The four budget-governed cache families, in reporting order. The
-/// discriminant doubles as the index into the accountant's per-family
-/// ledgers.
+/// The seven cache families, in reporting order. The discriminant
+/// indexes the hit/miss counters and the byte ledgers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum Family {
-    Composed = 0,
-    Influence = 1,
-    Diversity = 2,
-    Propagated = 3,
+pub(crate) enum Family {
+    Paths = 0,
+    Factors = 1,
+    Composed = 2,
+    Oriented = 3,
+    Influence = 4,
+    Diversity = 5,
+    Propagated = 6,
 }
 
-const NUM_FAMILIES: usize = 4;
+const NUM_FAMILIES: usize = 7;
 
-/// One key across every accountant family. Derives `Ord` so the
-/// eviction tiebreak has a total order that never depends on hash-map
-/// iteration order; the variant order matches [`Family`].
+impl Family {
+    /// Pinned families are never charged to the budget and never
+    /// evicted (see the module docs).
+    fn pinned(self) -> bool {
+        matches!(self, Family::Paths | Family::Factors | Family::Oriented)
+    }
+}
+
+/// One key across every family. Derives `Ord` so dumps and the eviction
+/// tiebreak have a total order that never depends on hash-map iteration
+/// order; the variant order matches [`Family`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum FamilyKey {
+pub(crate) enum FamilyKey {
+    Paths(PathKey),
+    Factors(MetaPathStep),
     Composed(Vec<MetaPathStep>),
+    Oriented((NodeTypeId, NodeTypeId)),
     Influence(InfluenceKey),
     Diversity(DiversityKey),
     Propagated((usize, usize)),
 }
 
 impl FamilyKey {
-    fn family(&self) -> Family {
+    pub(crate) fn family(&self) -> Family {
         match self {
+            FamilyKey::Paths(_) => Family::Paths,
+            FamilyKey::Factors(_) => Family::Factors,
             FamilyKey::Composed(_) => Family::Composed,
+            FamilyKey::Oriented(_) => Family::Oriented,
             FamilyKey::Influence(_) => Family::Influence,
             FamilyKey::Diversity(_) => Family::Diversity,
             FamilyKey::Propagated(_) => Family::Propagated,
@@ -456,21 +496,39 @@ impl FamilyKey {
 }
 
 /// The value behind a [`FamilyKey`]; the variant always matches the
-/// key's (the accountant's API is only reachable through typed context
-/// methods).
+/// key's (the table is only reachable through typed context methods).
+/// `Oriented(None)` is the cached negative answer for a type pair the
+/// schema has no relation between.
 #[derive(Clone)]
-enum FamilyValue {
+pub(crate) enum FamilyValue {
+    Paths(Arc<Vec<MetaPath>>),
+    Factors(Arc<CsrMatrix>),
     Composed(Arc<CsrMatrix>),
+    Oriented(Option<Arc<CsrMatrix>>),
     Influence(Arc<Vec<f64>>),
     Diversity(Arc<Vec<f64>>),
     Propagated(AnyArc),
 }
 
 impl FamilyValue {
-    fn into_composed(self) -> Arc<CsrMatrix> {
+    fn into_paths(self) -> Arc<Vec<MetaPath>> {
         match self {
-            FamilyValue::Composed(m) => m,
-            _ => unreachable!("composed key holds a composed value"),
+            FamilyValue::Paths(p) => p,
+            _ => unreachable!("paths key holds a paths value"),
+        }
+    }
+
+    fn into_matrix(self) -> Arc<CsrMatrix> {
+        match self {
+            FamilyValue::Factors(m) | FamilyValue::Composed(m) => m,
+            _ => unreachable!("matrix key holds a matrix value"),
+        }
+    }
+
+    fn into_oriented(self) -> Option<Arc<CsrMatrix>> {
+        match self {
+            FamilyValue::Oriented(a) => a,
+            _ => unreachable!("oriented key holds an oriented value"),
         }
     }
 
@@ -490,9 +548,9 @@ impl FamilyValue {
 }
 
 /// Deterministic recompute-cost estimate for an influence vector, in
-/// the accountant's shared flop currency: aggregating Eq. 10–13 scores
-/// runs a truncated PPR series over every family path, a few dozen
-/// passes over the output length.
+/// the table's shared flop currency: aggregating Eq. 10–13 scores runs
+/// a truncated PPR series over every family path, a few dozen passes
+/// over the output length.
 fn influence_cost(len: usize) -> u64 {
     (len as u64).saturating_mul(64).max(1)
 }
@@ -504,9 +562,23 @@ fn diversity_cost(len: usize) -> u64 {
     (len as u64).saturating_mul(16).max(1)
 }
 
+/// An influence or diversity vector as a cache value, with its resident
+/// bytes and recompute cost — how computed and loaded vectors alike are
+/// sized.
+pub(crate) fn vector_value(fam: Family, v: Vec<f64>) -> (FamilyValue, usize, u64) {
+    let (len, v) = (v.len(), Arc::new(v));
+    let bytes = len * std::mem::size_of::<f64>();
+    match fam {
+        Family::Influence => (FamilyValue::Influence(v), bytes, influence_cost(len)),
+        Family::Diversity => (FamilyValue::Diversity(v), bytes, diversity_cost(len)),
+        _ => unreachable!("only influence and diversity hold vectors"),
+    }
+}
+
 /// One resident cache entry plus the bookkeeping eviction needs.
 struct AccountedEntry {
     value: FamilyValue,
+    /// Resident bytes charged to the budget (0 for pinned families).
     bytes: usize,
     /// Deterministic recompute-cost estimate in scalar flops (SpGEMM
     /// multiply-adds for composed products; see the per-family cost
@@ -518,12 +590,12 @@ struct AccountedEntry {
     touch: u64,
 }
 
-/// The unified memory accountant: one map over all four budget-governed
-/// cache families (composed, influence, diversity, propagated), one
-/// byte ceiling, one eviction policy. Lives behind the context's mutex.
-/// The per-family ledgers (`family_bytes`, `family_peak`, `evictions`,
-/// `rejected`) are indexed by [`Family`] and always sum to the unified
-/// ones — [`CondenseContext::stats`] debug-asserts it.
+/// The cache table: one map over all seven families, one byte ceiling
+/// over the budgeted ones, one eviction policy. Lives behind the
+/// context's mutex. The per-family ledgers (`family_bytes`,
+/// `family_peak`, `evictions`, `rejected`) are indexed by [`Family`],
+/// stay zero for pinned families, and always sum to the budgeted
+/// totals — [`CondenseContext::stats`] debug-asserts it.
 #[derive(Default)]
 struct CacheAccountant {
     map: FxHashMap<FamilyKey, AccountedEntry>,
@@ -547,11 +619,11 @@ impl CacheAccountant {
         })
     }
 
-    /// Admits `value` under the budget, evicting cheapest-per-byte
-    /// first until it fits. Returns the resident value (the
-    /// already-cached one if a concurrent compute of the same key
-    /// landed first — identical bits either way, so whichever wins is
-    /// correct).
+    /// Admits `value`: pinned families unconditionally and free,
+    /// budgeted ones under the budget, evicting cheapest-per-byte first
+    /// until it fits. Returns the resident value (the already-cached
+    /// one if a concurrent compute of the same key landed first —
+    /// identical bits either way, so whichever wins is correct).
     fn insert(
         &mut self,
         key: FamilyKey,
@@ -562,35 +634,40 @@ impl CacheAccountant {
         if let Some(e) = self.map.get(&key) {
             return e.value.clone();
         }
-        let fam = key.family() as usize;
-        // Injected budget-pressure spikes: behave exactly like an entry
-        // that exceeds the whole budget — a counted rejection, the
-        // caller keeps its freshly computed (bit-identical) value, and
-        // resident bytes never move. `accountant.pressure` covers every
-        // family; `composed.pressure` is retained for the composed
-        // family alone (the pre-accountant drill).
-        if crate::failpoints::should_fire(crate::failpoints::ACCOUNTANT_PRESSURE)
-            || (key.family() == Family::Composed
-                && crate::failpoints::should_fire(crate::failpoints::COMPOSED_PRESSURE))
-        {
-            self.rejected[fam] += 1;
-            return value;
-        }
-        if let Some(budget) = self.budget {
-            if bytes > budget {
-                // Never admitted: resident bytes must not exceed the
-                // budget even transiently. The caller still gets its
-                // freshly computed value.
-                self.rejected[fam] += 1;
+        let fam = key.family();
+        if !fam.pinned() {
+            let f = fam as usize;
+            // Injected budget-pressure spikes: behave exactly like an
+            // entry that exceeds the whole budget — a counted rejection,
+            // the caller keeps its freshly computed (bit-identical)
+            // value, and resident bytes never move.
+            // `accountant.pressure` covers every budgeted family;
+            // `composed.pressure` is retained for the composed family
+            // alone (the pre-accountant drill).
+            if crate::failpoints::should_fire(crate::failpoints::ACCOUNTANT_PRESSURE)
+                || (fam == Family::Composed
+                    && crate::failpoints::should_fire(crate::failpoints::COMPOSED_PRESSURE))
+            {
+                self.rejected[f] += 1;
                 return value;
             }
-            while self.bytes + bytes > budget && self.evict_one() {}
+            if let Some(budget) = self.budget {
+                if bytes > budget {
+                    // Never admitted: resident bytes must not exceed the
+                    // budget even transiently. The caller still gets its
+                    // freshly computed value.
+                    self.rejected[f] += 1;
+                    return value;
+                }
+                while self.bytes + bytes > budget && self.evict_one() {}
+            }
+            self.bytes += bytes;
+            self.peak_bytes = self.peak_bytes.max(self.bytes);
+            self.family_bytes[f] += bytes;
+            self.family_peak[f] = self.family_peak[f].max(self.family_bytes[f]);
         }
+        debug_assert!(!fam.pinned() || bytes == 0, "pinned entries are free");
         self.clock += 1;
-        self.bytes += bytes;
-        self.peak_bytes = self.peak_bytes.max(self.bytes);
-        self.family_bytes[fam] += bytes;
-        self.family_peak[fam] = self.family_peak[fam].max(self.family_bytes[fam]);
         self.map.insert(
             key,
             AccountedEntry {
@@ -603,9 +680,10 @@ impl CacheAccountant {
         value
     }
 
-    /// Evicts the entry that is cheapest to recompute per resident byte
-    /// (ties broken toward the least recently touched, then by key
-    /// order). Returns false when the accountant is empty.
+    /// Evicts the budgeted entry that is cheapest to recompute per
+    /// resident byte (ties broken toward the least recently touched,
+    /// then by key order). Returns false when no budgeted entry is
+    /// resident.
     ///
     /// The victim choice must be a pure function of the cache
     /// *contents*, never of hash-map iteration order: eviction decides
@@ -617,13 +695,13 @@ impl CacheAccountant {
     /// entries are clamped to one byte so they still order by cost. The
     /// `(density, touch)` pair is unique under normal operation (the
     /// logical clock ticks per touch), so the key-order tiebreak only
-    /// matters for states reconstructed wholesale (e.g. a snapshot
-    /// load, where every installed entry shares one batch) — exactly
-    /// where determinism must still hold.
+    /// matters for states reconstructed wholesale — exactly where
+    /// determinism must still hold.
     fn evict_one(&mut self) -> bool {
         let victim = self
             .map
             .iter()
+            .filter(|(k, _)| !k.family().pinned())
             .min_by(|(ka, ea), (kb, eb)| {
                 let da = ea.cost as u128 * eb.bytes.max(1) as u128;
                 let db = eb.cost as u128 * ea.bytes.max(1) as u128;
@@ -682,27 +760,15 @@ fn any_row_exceeds(m: &CsrMatrix, k: usize) -> bool {
 }
 
 /// Shared, thread-safe precompute for one full graph. See the module
-/// docs for what is cached; construction is cheap (all caches start
+/// docs for what is cached; construction is cheap (the table starts
 /// empty), so a context costs nothing until work flows through it.
 pub struct CondenseContext<'g> {
     graph: GraphHandle<'g>,
     max_row_nnz: Option<usize>,
-    paths: Mutex<FxHashMap<PathKey, Arc<Vec<MetaPath>>>>,
-    factors: Mutex<FxHashMap<MetaPathStep, Arc<CsrMatrix>>>,
-    oriented: Mutex<OrientedMap>,
-    /// The four budget-governed families — composed, influence,
-    /// diversity, propagated — live together here under one byte
-    /// ceiling; paths/factors/oriented stay in their own unbounded
-    /// maps (schema-sized, and the factor buffers are pinned by the
-    /// engine regardless).
-    accountant: Mutex<CacheAccountant>,
-    paths_stats: Counter,
-    factors_stats: Counter,
-    composed_stats: Counter,
-    oriented_stats: Counter,
-    influence_stats: Counter,
-    diversity_stats: Counter,
-    propagated_stats: Counter,
+    /// The one cache table, every family in it.
+    cache: Mutex<CacheAccountant>,
+    /// Hit/miss counters, indexed by [`Family`].
+    counters: [Counter; NUM_FAMILIES],
 }
 
 impl<'g> CondenseContext<'g> {
@@ -710,17 +776,8 @@ impl<'g> CondenseContext<'g> {
         Self {
             graph,
             max_row_nnz: Some(DEFAULT_MAX_ROW_NNZ),
-            paths: Mutex::default(),
-            factors: Mutex::default(),
-            oriented: Mutex::default(),
-            accountant: Mutex::default(),
-            paths_stats: Counter::default(),
-            factors_stats: Counter::default(),
-            composed_stats: Counter::default(),
-            oriented_stats: Counter::default(),
-            influence_stats: Counter::default(),
-            diversity_stats: Counter::default(),
-            propagated_stats: Counter::default(),
+            cache: Mutex::default(),
+            counters: Default::default(),
         }
     }
 
@@ -731,9 +788,9 @@ impl<'g> CondenseContext<'g> {
         Self::with_handle(GraphHandle::Borrowed(graph))
     }
 
-    /// A context whose fill-in cap and unified cache budget come from
-    /// the spec — the knobs both condensation and propagation obey
-    /// (there is deliberately no per-call cap anywhere downstream).
+    /// A context whose fill-in cap and cache budget come from the spec
+    /// — the knobs both condensation and propagation obey (there is
+    /// deliberately no per-call cap anywhere downstream).
     pub fn for_spec(graph: &'g HeteroGraph, spec: &CondenseSpec) -> Self {
         Self::new(graph)
             .with_max_row_nnz(spec.max_row_nnz)
@@ -747,21 +804,17 @@ impl<'g> CondenseContext<'g> {
     /// incompatible entries.
     pub fn with_max_row_nnz(mut self, k: Option<usize>) -> Self {
         assert!(
-            self.accountant
-                .get_mut()
-                .unwrap()
-                .family_len(Family::Composed)
-                == 0,
+            self.cache.get_mut().unwrap().family_len(Family::Composed) == 0,
             "cannot change max_row_nnz on a context with cached compositions"
         );
         self.max_row_nnz = k;
         self
     }
 
-    /// Sets the unified byte budget over all four accountant families
-    /// (`None` = unbounded, the default). Unlike the fill-in cap this
-    /// never changes any output — eviction only forces pure recomputes —
-    /// so it may be set on a warm context; resident entries are evicted
+    /// Sets the byte budget over the four budgeted families (`None` =
+    /// unbounded, the default). Unlike the fill-in cap this never
+    /// changes any output — eviction only forces pure recomputes — so
+    /// it may be set on a warm context; resident entries are evicted
     /// immediately to fit, and the `cache_peak_bytes` high-water mark
     /// (with its per-family breakdown) restarts at the resident size —
     /// for `Some` and `None` alike — so the pair stays mutually
@@ -770,7 +823,7 @@ impl<'g> CondenseContext<'g> {
     /// new budget, and a stale mark after *removing* a budget would
     /// misreport the unbudgeted era.
     pub fn with_cache_budget(mut self, bytes: Option<usize>) -> Self {
-        self.accountant.get_mut().unwrap().set_budget(bytes);
+        self.cache.get_mut().unwrap().set_budget(bytes);
         self
     }
 }
@@ -805,20 +858,20 @@ impl CondenseContext<'_> {
         self.max_row_nnz
     }
 
-    /// The unified accountant byte budget (`None` = unbounded).
+    /// The byte budget over the budgeted families (`None` = unbounded).
     pub fn cache_budget(&self) -> Option<usize> {
-        relock(&self.accountant).budget
+        relock(&self.cache).budget
     }
 
-    /// Resident bytes across all four accountant families right now —
+    /// Resident bytes across the four budgeted families right now —
     /// the quantity the budget bounds.
     pub fn cache_bytes(&self) -> usize {
-        relock(&self.accountant).bytes
+        relock(&self.cache).bytes
     }
 
     /// Resident bytes of the composed family alone right now.
     pub fn composed_bytes(&self) -> usize {
-        relock(&self.accountant).family_bytes[Family::Composed as usize]
+        relock(&self.cache).family_bytes[Family::Composed as usize]
     }
 
     /// Asserts that condensing `spec` through this context cannot
@@ -838,41 +891,43 @@ impl CondenseContext<'_> {
         );
     }
 
-    /// A point-in-time snapshot of all cache counters, read under one
-    /// accountant lock so the per-family byte fields, the unified
-    /// ledger, and the eviction/rejection counters are mutually
-    /// consistent. In debug builds the call cross-checks the three
-    /// views of resident bytes against each other — the map's entry
-    /// sum, the accountant's running total, and the per-family
-    /// breakdown the counters expose — so any bookkeeping drift fails
-    /// loudly in tests rather than silently mis-budgeting.
+    /// A point-in-time snapshot of all cache counters, read under the
+    /// table lock so the per-family byte fields, the budgeted ledger,
+    /// and the eviction/rejection counters are mutually consistent. In
+    /// debug builds the call cross-checks the three views of resident
+    /// bytes against each other — the map's entry sum, the running
+    /// total, and the per-family breakdown the counters expose — so any
+    /// bookkeeping drift fails loudly in tests rather than silently
+    /// mis-budgeting.
     pub fn stats(&self) -> CacheCounters {
-        let acct = relock(&self.accountant);
+        let acct = relock(&self.cache);
         debug_assert_eq!(
             acct.map.values().map(|e| e.bytes).sum::<usize>(),
             acct.bytes,
-            "accountant entry bytes must sum to the running total"
+            "entry bytes must sum to the running total"
         );
         debug_assert_eq!(
             acct.family_bytes.iter().sum::<usize>(),
             acct.bytes,
-            "per-family bytes must sum to the unified ledger"
+            "per-family bytes must sum to the budgeted ledger"
         );
+        let hm = |f: Family| self.counters[f as usize].snapshot();
+        let bytes = |f: Family| acct.family_bytes[f as usize] as u64;
         let counters = CacheCounters {
-            paths: self.paths_stats.snapshot(),
-            factors: self.factors_stats.snapshot(),
-            composed: self.composed_stats.snapshot(),
-            oriented: self.oriented_stats.snapshot(),
-            influence: self.influence_stats.snapshot(),
-            diversity: self.diversity_stats.snapshot(),
-            propagated: self.propagated_stats.snapshot(),
+            paths: hm(Family::Paths),
+            factors: hm(Family::Factors),
+            composed: hm(Family::Composed),
+            oriented: hm(Family::Oriented),
+            influence: hm(Family::Influence),
+            diversity: hm(Family::Diversity),
+            propagated: hm(Family::Propagated),
             composed_evictions: acct.evictions[Family::Composed as usize],
             composed_rejected: acct.rejected[Family::Composed as usize],
-            composed_bytes: acct.family_bytes[Family::Composed as usize] as u64,
+            composed_bytes: bytes(Family::Composed),
             composed_peak_bytes: acct.family_peak[Family::Composed as usize] as u64,
-            influence_bytes: acct.family_bytes[Family::Influence as usize] as u64,
-            diversity_bytes: acct.family_bytes[Family::Diversity as usize] as u64,
-            propagated_bytes: acct.family_bytes[Family::Propagated as usize] as u64,
+            influence_bytes: bytes(Family::Influence),
+            diversity_bytes: bytes(Family::Diversity),
+            propagated_bytes: bytes(Family::Propagated),
             influence_evictions: acct.evictions[Family::Influence as usize],
             diversity_evictions: acct.evictions[Family::Diversity as usize],
             propagated_evictions: acct.evictions[Family::Propagated as usize],
@@ -885,14 +940,36 @@ impl CondenseContext<'_> {
         debug_assert_eq!(
             counters.resident_bytes_total(),
             counters.cache_bytes,
-            "per-family counter sum must equal the accountant's ledger"
+            "per-family counter sum must equal the budgeted ledger"
         );
         counters
     }
 
     /// Number of cached composed adjacencies (for tests/benches).
     pub fn composed_len(&self) -> usize {
-        relock(&self.accountant).family_len(Family::Composed)
+        relock(&self.cache).family_len(Family::Composed)
+    }
+
+    /// The one lookup-or-compute path every family goes through: a hit
+    /// returns the resident value; a miss runs `compute` outside the
+    /// lock — compositions recurse into their prefixes and run SpGEMMs
+    /// that must not serialize other cache users — and admits its value
+    /// with the reported resident bytes and recompute cost. Concurrent
+    /// computes of one key produce identical bits (pure functions of
+    /// graph + key), so whichever insert lands first is correct.
+    fn cached(
+        &self,
+        key: FamilyKey,
+        compute: impl FnOnce() -> (FamilyValue, usize, u64),
+    ) -> FamilyValue {
+        let counter = &self.counters[key.family() as usize];
+        if let Some(v) = relock(&self.cache).get(&key) {
+            counter.hit();
+            return v;
+        }
+        counter.miss();
+        let (value, bytes, cost) = compute();
+        relock(&self.cache).insert(key, value, bytes, cost)
     }
 
     /// Cached [`enumerate_metapaths`]: every proper meta-path rooted at
@@ -903,19 +980,12 @@ impl CondenseContext<'_> {
         max_hops: usize,
         max_paths: usize,
     ) -> Arc<Vec<MetaPath>> {
-        let key = (root, max_hops, max_paths);
-        if let Some(p) = relock(&self.paths).get(&key) {
-            self.paths_stats.hit();
-            return Arc::clone(p);
-        }
-        self.paths_stats.miss();
-        let paths = Arc::new(enumerate_metapaths(
-            self.graph().schema(),
-            root,
-            max_hops,
-            max_paths,
-        ));
-        Arc::clone(relock(&self.paths).entry(key).or_insert(paths))
+        self.cached(FamilyKey::Paths((root, max_hops, max_paths)), || {
+            let schema = self.graph().schema();
+            let paths = enumerate_metapaths(schema, root, max_hops, max_paths);
+            (FamilyValue::Paths(Arc::new(paths)), 0, 0)
+        })
+        .into_paths()
     }
 
     /// The paths from `root` that end at `source` (the path family
@@ -944,64 +1014,45 @@ impl CondenseContext<'_> {
     }
 
     fn factor(&self, step: MetaPathStep) -> Arc<CsrMatrix> {
-        if let Some(f) = relock(&self.factors).get(&step) {
-            self.factors_stats.hit();
-            return Arc::clone(f);
-        }
-        self.factors_stats.miss();
-        let a = self.graph().adjacency(step.edge);
-        let m = if step.forward {
-            a.row_normalized()
-        } else {
-            a.transpose().row_normalized()
-        };
-        Arc::clone(
-            self.factors
-                .lock()
-                .unwrap()
-                .entry(step)
-                .or_insert(Arc::new(m)),
-        )
+        self.cached(FamilyKey::Factors(step), || {
+            let a = self.graph().adjacency(step.edge);
+            let m = if step.forward {
+                a.row_normalized()
+            } else {
+                a.transpose().row_normalized()
+            };
+            (FamilyValue::Factors(Arc::new(m)), 0, 0)
+        })
+        .into_matrix()
     }
 
     fn compose(&self, steps: &[MetaPathStep]) -> Arc<CsrMatrix> {
         // Single-step "compositions" ARE factors: they are served by
-        // (and counted against) the unbounded factor cache alone.
-        // Inserting them into the byte-budgeted composed cache would
-        // charge budget for buffers the factor cache pins anyway, and
-        // their admission could evict a real SpGEMM product without
-        // freeing a byte of process memory.
+        // (and counted against) the pinned factor family alone.
+        // Charging them to the budget would count buffers every product
+        // reads anyway, and their admission could evict a real SpGEMM
+        // product without freeing a byte of process memory.
         if steps.len() == 1 {
             return self.factor(steps[0]);
         }
-        let key = FamilyKey::Composed(steps.to_vec());
-        if let Some(m) = relock(&self.accountant).get(&key) {
-            self.composed_stats.hit();
-            return m.into_composed();
-        }
-        self.composed_stats.miss();
-        // Compute outside the lock: compositions recurse into their
-        // prefixes and run SpGEMMs that must not serialize other cache
-        // users. Concurrent computes of the same key produce identical
-        // bits (pure function of graph + steps), so the insert below is
-        // safe whichever thread lands first.
-        let prefix = self.compose(&steps[..steps.len() - 1]);
-        let last = self.factor(steps[steps.len() - 1]);
-        let cost = spgemm_cost(&prefix, &last);
-        let mut prod = prefix.spgemm(&last);
-        if let Some(k) = self.max_row_nnz {
-            // The cap is a *per-row* contract: apply it whenever any
-            // row exceeds k, not only when the aggregate density
-            // does (a skewed product can hide an over-full row
-            // behind many empty ones).
-            if any_row_exceeds(&prod, k) {
-                prod = prod.top_k_per_row(k);
+        self.cached(FamilyKey::Composed(steps.to_vec()), || {
+            let prefix = self.compose(&steps[..steps.len() - 1]);
+            let last = self.factor(steps[steps.len() - 1]);
+            let cost = spgemm_cost(&prefix, &last);
+            let mut prod = prefix.spgemm(&last);
+            if let Some(k) = self.max_row_nnz {
+                // The cap is a *per-row* contract: apply it whenever any
+                // row exceeds k, not only when the aggregate density
+                // does (a skewed product can hide an over-full row
+                // behind many empty ones).
+                if any_row_exceeds(&prod, k) {
+                    prod = prod.top_k_per_row(k);
+                }
             }
-        }
-        let bytes = prod.storage_bytes();
-        relock(&self.accountant)
-            .insert(key, FamilyValue::Composed(Arc::new(prod)), bytes, cost)
-            .into_composed()
+            let bytes = prod.storage_bytes();
+            (FamilyValue::Composed(Arc::new(prod)), bytes, cost)
+        })
+        .into_matrix()
     }
 
     /// Cached [`HeteroGraph::adjacency_between`]: the `from → to`
@@ -1011,20 +1062,11 @@ impl CondenseContext<'_> {
     /// repeated misses on an absent relation neither recompute nor
     /// under-report.
     pub fn adjacency_between(&self, from: NodeTypeId, to: NodeTypeId) -> Option<Arc<CsrMatrix>> {
-        let key = (from, to);
-        if let Some(a) = relock(&self.oriented).get(&key) {
-            self.oriented_stats.hit();
-            return a.as_ref().map(Arc::clone);
-        }
-        self.oriented_stats.miss();
-        let a = self.graph().adjacency_between(from, to).map(Arc::new);
-        self.oriented
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(a)
-            .as_ref()
-            .map(Arc::clone)
+        self.cached(FamilyKey::Oriented((from, to)), || {
+            let a = self.graph().adjacency_between(from, to).map(Arc::new);
+            (FamilyValue::Oriented(a), 0, 0)
+        })
+        .into_oriented()
     }
 
     /// Returns the cached influence vector for `key`, computing it with
@@ -1034,18 +1076,10 @@ impl CondenseContext<'_> {
         key: InfluenceKey,
         compute: impl FnOnce() -> Vec<f64>,
     ) -> Arc<Vec<f64>> {
-        let fkey = FamilyKey::Influence(key);
-        if let Some(v) = relock(&self.accountant).get(&fkey) {
-            self.influence_stats.hit();
-            return v.into_vector();
-        }
-        self.influence_stats.miss();
-        let v = Arc::new(compute());
-        let bytes = v.len() * std::mem::size_of::<f64>();
-        let cost = influence_cost(v.len());
-        relock(&self.accountant)
-            .insert(fkey, FamilyValue::Influence(v), bytes, cost)
-            .into_vector()
+        self.cached(FamilyKey::Influence(key), || {
+            vector_value(Family::Influence, compute())
+        })
+        .into_vector()
     }
 
     /// Returns the cached diversity-bonus vector for `key` (one entry per
@@ -1058,55 +1092,85 @@ impl CondenseContext<'_> {
         key: DiversityKey,
         compute: impl FnOnce() -> Vec<f64>,
     ) -> Arc<Vec<f64>> {
-        let fkey = FamilyKey::Diversity(key);
-        if let Some(v) = relock(&self.accountant).get(&fkey) {
-            self.diversity_stats.hit();
-            return v.into_vector();
-        }
-        self.diversity_stats.miss();
-        let v = Arc::new(compute());
-        let bytes = v.len() * std::mem::size_of::<f64>();
-        let cost = diversity_cost(v.len());
-        relock(&self.accountant)
-            .insert(fkey, FamilyValue::Diversity(v), bytes, cost)
-            .into_vector()
+        self.cached(FamilyKey::Diversity(key), || {
+            vector_value(Family::Diversity, compute())
+        })
+        .into_vector()
     }
 
-    // ---- delta seeding ----------------------------------------------
+    /// Returns the cached propagated-feature value for `key`, computing
+    /// it with `compute` on a miss. The value is stored type-erased so
+    /// higher layers can cache their own block types here; `T` must be
+    /// the same type for every use of a given context (guaranteed in
+    /// practice — one layer owns this family). The caller also reports
+    /// the value's resident heap bytes (surfaced through
+    /// [`CacheCounters::propagated_bytes`] and charged against the
+    /// budget) and its recompute-cost estimate in the table's shared
+    /// flop currency, so cross-family eviction can weigh a propagated
+    /// block against a composed product. A cost of 0 makes the block the
+    /// first eviction victim — safe, since eviction only forces a pure
+    /// recompute. All three closures run once, only on the miss that
+    /// actually computes the value.
+    pub fn propagated_costed<T: Any + Send + Sync>(
+        &self,
+        key: (usize, usize),
+        compute: impl FnOnce() -> T,
+        bytes_of: impl FnOnce(&T) -> usize,
+        cost_of: impl FnOnce(&T) -> u64,
+    ) -> Arc<T> {
+        self.cached(FamilyKey::Propagated(key), || {
+            let v = compute();
+            let (bytes, cost) = (bytes_of(&v), cost_of(&v));
+            (FamilyValue::Propagated(Arc::new(v)), bytes, cost)
+        })
+        .into_propagated()
+        .downcast::<T>()
+        .expect("propagated cache holds one concrete type per context")
+    }
+
+    // ---- dump, install, delta seeding -------------------------------
+
+    /// Every resident entry, sorted by key: families come grouped in
+    /// [`Family`] order, and identical cache contents give an identical
+    /// sequence (hence identical snapshot bytes).
+    pub(crate) fn dump(&self) -> Vec<CacheEntry> {
+        let mut v: Vec<CacheEntry> = relock(&self.cache)
+            .map
+            .iter()
+            .map(|(k, e)| (k.clone(), e.value.clone(), e.bytes, e.cost))
+            .collect();
+        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        v
+    }
+
+    /// Pre-warms the table with `entries`, in order, and counts them per
+    /// family. Installs go through the normal admission path, so a
+    /// budget set before a seed or a snapshot load bounds it exactly as
+    /// it bounds computed entries; they leave the hit/miss counters
+    /// alone (an installed entry was neither requested nor computed) and
+    /// never overwrite an entry a live caller already produced.
+    pub(crate) fn install(&self, entries: Vec<CacheEntry>) -> DeltaSeedReport {
+        let mut report = DeltaSeedReport::default();
+        let mut cache = relock(&self.cache);
+        for (key, value, bytes, cost) in entries {
+            report.count(key.family());
+            cache.insert(key, value, bytes, cost);
+        }
+        report
+    }
 
     /// Seeds this (typically cold) context from `old`'s caches, keeping
-    /// exactly the entries a [`GraphDelta`] provably leaves unchanged.
+    /// exactly the entries a [`GraphDelta`] provably leaves unchanged
+    /// (see `InvalidationRules::survives` for the rule per family).
     /// The caller guarantees `self.graph()` equals `old.graph()` with
     /// `delta` applied — same schema, same per-type node counts, the
     /// named relations/feature tables rewired and nothing else.
     ///
-    /// Survival rules, one per family (each is the exact dependency set
-    /// of the cached computation):
-    ///
-    /// * **paths** — enumeration reads only the schema; always survives.
-    /// * **factors** — the factor of step `s` reads relation `s.edge`
-    ///   alone; killed iff the delta touches it.
-    /// * **composed** — a product reads its steps' factors; killed iff
-    ///   any step's edge is touched.
-    /// * **oriented** — `(from, to)` resolves one schema relation; the
-    ///   cached negative (`None`) is schema-only and always survives, a
-    ///   positive is killed iff its relation is touched.
-    /// * **influence** — scores aggregate the composed adjacencies of
-    ///   the family `Φ_L(target → father)` and never read features;
-    ///   killed iff any family path traverses a touched edge.
-    /// * **diversity** — the bonus of path `i` reads the composed
-    ///   adjacencies of `i` and its same-source-type siblings; killed
-    ///   iff any path in that group traverses a touched edge.
-    /// * **propagated** — block 0 is the raw target features and block
-    ///   `i` is `Â_i · X_source(i)`; killed iff any family path
-    ///   traverses a touched edge, or the delta rewrites the target's
-    ///   or any family source type's features.
-    ///
     /// Surviving entries are installed verbatim (`Arc` clones — no
-    /// recompute, no hit/miss counter noise), so a seeded context is
-    /// bitwise-identical to a cold rebuild everywhere: warm entries are
-    /// pure functions the delta did not perturb, and everything else
-    /// recomputes against the mutated graph on demand.
+    /// recompute, no hit/miss counter noise) in key order, so a seeded
+    /// context is bitwise-identical to a cold rebuild everywhere: warm
+    /// entries are pure functions the delta did not perturb, and
+    /// everything else recomputes against the mutated graph on demand.
     ///
     /// # Panics
     /// Panics when the fill-in caps disagree (cap changes composed
@@ -1130,314 +1194,15 @@ impl CondenseContext<'_> {
                 .all(|t| self.graph().num_nodes(t) == old.graph().num_nodes(t)),
             "delta seeding requires unchanged node counts"
         );
-
         let mut rules = InvalidationRules::new(schema, delta);
-        let mut report = DeltaSeedReport::default();
-
-        for (key, v) in old.dump_paths() {
-            self.install_paths(key, v);
-            report.paths += 1;
+        let (kept, dropped): (Vec<_>, Vec<_>) = old
+            .dump()
+            .into_iter()
+            .partition(|(key, ..)| rules.survives(key));
+        DeltaSeedReport {
+            dropped: dropped.len(),
+            ..self.install(kept)
         }
-
-        for (step, m) in old.dump_factors() {
-            if rules.factor_clean(step) {
-                self.install_factor(step, m);
-                report.factors += 1;
-            } else {
-                report.dropped += 1;
-            }
-        }
-
-        for (steps, m, cost) in old.dump_composed() {
-            if rules.steps_clean(&steps) {
-                self.install_composed(steps, m, cost);
-                report.composed += 1;
-            } else {
-                report.dropped += 1;
-            }
-        }
-
-        for (key, a) in old.dump_oriented() {
-            if rules.oriented_clean(key.0, key.1) {
-                self.install_oriented(key, a);
-                report.oriented += 1;
-            } else {
-                report.dropped += 1;
-            }
-        }
-
-        for (key, v) in old.dump_influence() {
-            if rules.influence_clean(key.father, key.max_hops, key.max_paths) {
-                self.install_influence(key, v);
-                report.influence += 1;
-            } else {
-                report.dropped += 1;
-            }
-        }
-
-        for (key, v) in old.dump_diversity() {
-            let (root, mh, mp, pi) = key;
-            if rules.diversity_clean(root, mh, mp, pi) {
-                self.install_diversity(key, v);
-                report.diversity += 1;
-            } else {
-                report.dropped += 1;
-            }
-        }
-
-        for (key, v, bytes, cost) in old.dump_propagated() {
-            if rules.propagated_clean(key.0, key.1) {
-                self.install_propagated(key, v, bytes, cost);
-                report.propagated += 1;
-            } else {
-                report.dropped += 1;
-            }
-        }
-
-        report
-    }
-
-    // ---- snapshot support -------------------------------------------
-    //
-    // The dump methods hand the snapshot encoder a *sorted* copy of each
-    // cache (deterministic file bytes for identical cache contents); the
-    // install methods pre-warm a cache from a decoded snapshot without
-    // touching the hit/miss counters — a loaded entry was neither
-    // requested nor computed, and installs never overwrite entries a
-    // live caller already produced.
-
-    pub(crate) fn dump_factors(&self) -> Vec<(MetaPathStep, Arc<CsrMatrix>)> {
-        let mut v: Vec<_> = self
-            .factors
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, m)| (*k, Arc::clone(m)))
-            .collect();
-        v.sort_unstable_by_key(|(k, _)| *k);
-        v
-    }
-
-    pub(crate) fn dump_composed(&self) -> Vec<(Vec<MetaPathStep>, Arc<CsrMatrix>, u64)> {
-        let acct = relock(&self.accountant);
-        let mut v: Vec<_> = acct
-            .map
-            .iter()
-            .filter_map(|(k, e)| match (k, &e.value) {
-                (FamilyKey::Composed(steps), FamilyValue::Composed(m)) => {
-                    Some((steps.clone(), Arc::clone(m), e.cost))
-                }
-                _ => None,
-            })
-            .collect();
-        drop(acct);
-        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    pub(crate) fn dump_influence(&self) -> Vec<(InfluenceKey, Arc<Vec<f64>>)> {
-        let acct = relock(&self.accountant);
-        let mut v: Vec<_> = acct
-            .map
-            .iter()
-            .filter_map(|(k, e)| match (k, &e.value) {
-                (FamilyKey::Influence(key), FamilyValue::Influence(x)) => {
-                    Some((key.clone(), Arc::clone(x)))
-                }
-                _ => None,
-            })
-            .collect();
-        drop(acct);
-        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    pub(crate) fn dump_diversity(&self) -> Vec<(DiversityKey, Arc<Vec<f64>>)> {
-        let acct = relock(&self.accountant);
-        let mut v: Vec<_> = acct
-            .map
-            .iter()
-            .filter_map(|(k, e)| match (k, &e.value) {
-                (FamilyKey::Diversity(key), FamilyValue::Diversity(x)) => {
-                    Some((*key, Arc::clone(x)))
-                }
-                _ => None,
-            })
-            .collect();
-        drop(acct);
-        v.sort_unstable_by_key(|(k, _)| *k);
-        v
-    }
-
-    pub(crate) fn dump_propagated(&self) -> Vec<((usize, usize), AnyArc, usize, u64)> {
-        let acct = relock(&self.accountant);
-        let mut v: Vec<_> = acct
-            .map
-            .iter()
-            .filter_map(|(k, e)| match (k, &e.value) {
-                (FamilyKey::Propagated(key), FamilyValue::Propagated(x)) => {
-                    Some((*key, Arc::clone(x), e.bytes, e.cost))
-                }
-                _ => None,
-            })
-            .collect();
-        drop(acct);
-        v.sort_unstable_by_key(|(k, _, _, _)| *k);
-        v
-    }
-
-    pub(crate) fn dump_paths(&self) -> Vec<(PathKey, Arc<Vec<MetaPath>>)> {
-        let mut v: Vec<_> = self
-            .paths
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, p)| (*k, Arc::clone(p)))
-            .collect();
-        v.sort_unstable_by_key(|(k, _)| *k);
-        v
-    }
-
-    pub(crate) fn dump_oriented(&self) -> Vec<OrientedEntry> {
-        let mut v: Vec<_> = self
-            .oriented
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, a)| (*k, a.as_ref().map(Arc::clone)))
-            .collect();
-        v.sort_unstable_by_key(|(k, _)| *k);
-        v
-    }
-
-    pub(crate) fn install_factor(&self, step: MetaPathStep, m: Arc<CsrMatrix>) {
-        relock(&self.factors).entry(step).or_insert(m);
-    }
-
-    /// Installs a composed adjacency through the accountant's normal
-    /// admission path, so the byte budget (and its eviction policy)
-    /// applies to loaded entries exactly as to computed ones. The same
-    /// holds for every install below: a budget set before a snapshot
-    /// load bounds the load too.
-    pub(crate) fn install_composed(&self, steps: Vec<MetaPathStep>, m: Arc<CsrMatrix>, cost: u64) {
-        let bytes = m.storage_bytes();
-        relock(&self.accountant).insert(
-            FamilyKey::Composed(steps),
-            FamilyValue::Composed(m),
-            bytes,
-            cost,
-        );
-    }
-
-    pub(crate) fn install_influence(&self, key: InfluenceKey, v: Arc<Vec<f64>>) {
-        let bytes = v.len() * std::mem::size_of::<f64>();
-        let cost = influence_cost(v.len());
-        relock(&self.accountant).insert(
-            FamilyKey::Influence(key),
-            FamilyValue::Influence(v),
-            bytes,
-            cost,
-        );
-    }
-
-    pub(crate) fn install_diversity(&self, key: DiversityKey, v: Arc<Vec<f64>>) {
-        let bytes = v.len() * std::mem::size_of::<f64>();
-        let cost = diversity_cost(v.len());
-        relock(&self.accountant).insert(
-            FamilyKey::Diversity(key),
-            FamilyValue::Diversity(v),
-            bytes,
-            cost,
-        );
-    }
-
-    pub(crate) fn install_propagated(
-        &self,
-        key: (usize, usize),
-        v: AnyArc,
-        bytes: usize,
-        cost: u64,
-    ) {
-        relock(&self.accountant).insert(
-            FamilyKey::Propagated(key),
-            FamilyValue::Propagated(v),
-            bytes,
-            cost,
-        );
-    }
-
-    pub(crate) fn install_paths(&self, key: PathKey, v: Arc<Vec<MetaPath>>) {
-        relock(&self.paths).entry(key).or_insert(v);
-    }
-
-    pub(crate) fn install_oriented(
-        &self,
-        key: (NodeTypeId, NodeTypeId),
-        v: Option<Arc<CsrMatrix>>,
-    ) {
-        relock(&self.oriented).entry(key).or_insert(v);
-    }
-
-    /// Returns the cached propagated-feature value for `key`, computing
-    /// it with `compute` on a miss. The value is stored type-erased so
-    /// higher layers can cache their own block types here; `T` must be
-    /// the same type for every use of a given context (guaranteed in
-    /// practice — one layer owns this cache).
-    pub fn propagated<T: Any + Send + Sync>(
-        &self,
-        key: (usize, usize),
-        compute: impl FnOnce() -> T,
-    ) -> Arc<T> {
-        self.propagated_sized(key, compute, |_| 0)
-    }
-
-    /// [`CondenseContext::propagated`] whose caller also reports the
-    /// value's resident heap bytes, surfaced through
-    /// [`CacheCounters::propagated_bytes`] and charged against the
-    /// budget. `bytes_of` runs once, only on the miss that actually
-    /// computes the value.
-    pub fn propagated_sized<T: Any + Send + Sync>(
-        &self,
-        key: (usize, usize),
-        compute: impl FnOnce() -> T,
-        bytes_of: impl FnOnce(&T) -> usize,
-    ) -> Arc<T> {
-        self.propagated_costed(key, compute, bytes_of, |_| 0)
-    }
-
-    /// [`CondenseContext::propagated_sized`] whose caller also reports
-    /// the value's recompute-cost estimate in the accountant's shared
-    /// flop currency, so cross-family eviction can weigh a propagated
-    /// block against a composed product. An unreported cost (the
-    /// `propagated`/`propagated_sized` default of 0) makes the block
-    /// the accountant's first victim — safe, since eviction only forces
-    /// a pure recompute. Both closures run once, only on the miss that
-    /// actually computes the value.
-    pub fn propagated_costed<T: Any + Send + Sync>(
-        &self,
-        key: (usize, usize),
-        compute: impl FnOnce() -> T,
-        bytes_of: impl FnOnce(&T) -> usize,
-        cost_of: impl FnOnce(&T) -> u64,
-    ) -> Arc<T> {
-        let fkey = FamilyKey::Propagated(key);
-        if let Some(v) = relock(&self.accountant).get(&fkey) {
-            self.propagated_stats.hit();
-            return v
-                .into_propagated()
-                .downcast::<T>()
-                .expect("propagated cache holds one concrete type per context");
-        }
-        self.propagated_stats.miss();
-        let v = Arc::new(compute());
-        let bytes = bytes_of(&v);
-        let cost = cost_of(&v);
-        let any: AnyArc = v;
-        relock(&self.accountant)
-            .insert(fkey, FamilyValue::Propagated(any), bytes, cost)
-            .into_propagated()
-            .downcast::<T>()
-            .expect("propagated cache holds one concrete type per context")
     }
 }
 
@@ -1457,7 +1222,7 @@ mod tests {
     use super::*;
     use crate::features::FeatureMatrix;
     use crate::graph::HeteroGraphBuilder;
-    use crate::metapath::{metapaths_to, MetaPathEngine};
+    use crate::metapath::metapaths_to;
     use crate::schema::Schema;
 
     fn fixture() -> HeteroGraph {
@@ -1531,7 +1296,7 @@ mod tests {
     fn context_matches_fresh_engine_bitwise() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
-        let mut engine = MetaPathEngine::new(&g).with_max_row_nnz(DEFAULT_MAX_ROW_NNZ);
+        let engine = CondenseContext::new(&g).with_max_row_nnz(Some(DEFAULT_MAX_ROW_NNZ));
         let root = g.schema().target();
         for p in ctx.metapaths(root, 2, 100).iter() {
             assert_eq!(*ctx.adjacency(p), *engine.adjacency(p), "{:?}", p.steps);
@@ -1677,8 +1442,8 @@ mod tests {
     fn propagated_cache_round_trips_any_type() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
-        let a = ctx.propagated((2, 12), || vec![1u32, 2, 3]);
-        let b = ctx.propagated((2, 12), || unreachable!("must hit"));
+        let a = ctx.propagated_costed((2, 12), || vec![1u32, 2, 3], |_| 0, |_| 0);
+        let b = ctx.propagated_costed((2, 12), || unreachable!("must hit"), |_| 0, |_| 0);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(ctx.stats().propagated, (1, 1));
     }
@@ -1919,7 +1684,13 @@ mod tests {
         );
         assert_eq!(cache.bytes, 0);
         assert_eq!(cache.family_bytes, [0; NUM_FAMILIES]);
-        assert_eq!(cache.evictions, [1, 1, 1, 1]);
+        let budgeted = [
+            Family::Composed,
+            Family::Influence,
+            Family::Diversity,
+            Family::Propagated,
+        ];
+        assert_eq!(budgeted.map(|f| cache.evictions[f as usize]), [1, 1, 1, 1]);
     }
 
     #[test]
@@ -2026,6 +1797,14 @@ mod tests {
         assert_eq!(st.composed_bytes, 0, "nothing fits a 1-byte budget");
         assert!(st.composed_rejected >= 2);
         assert_eq!(st.composed_peak_bytes, 0);
+        // Pinned families stay resident and free under any budget.
+        assert!(Arc::ptr_eq(&paths, &ctx.metapaths(root, 2, 100)));
+        let one_hop = paths.iter().find(|p| p.hops() == 1).unwrap();
+        assert!(Arc::ptr_eq(
+            &ctx.adjacency(one_hop),
+            &ctx.adjacency(one_hop)
+        ));
+        assert_eq!(ctx.cache_bytes(), 0);
     }
 
     #[test]

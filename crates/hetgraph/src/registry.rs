@@ -40,7 +40,10 @@
 //!   context — the half-built value is dropped, the flight is marked
 //!   failed, and the build is retried a bounded number of times (by the
 //!   leader, or by exactly one of the woken waiters — whichever re-locks
-//!   the map first). [`ContextRegistry::run_isolated`] extends the same
+//!   the map first). A waiter that finds its flight failed retires the
+//!   slot if it still holds that flight, so a leader that died without
+//!   clearing its slot cannot block the key.
+//!   [`ContextRegistry::run_isolated`] extends the same
 //!   contract to condensation work (`Condenser::condense_shared`).
 //! * **Poison recovery.** Every mutex access recovers from poisoning
 //!   (see `freehgc_parallel::relock`): all mutations under the registry's locks
@@ -61,7 +64,7 @@
 //!
 //! A registered context lives (with its graph `Arc`) until
 //! [`ContextRegistry::evict`]/[`ContextRegistry::clear`] drop it. Each
-//! context's four cache families share one byte-budgeted accountant
+//! context's four budgeted cache families share one byte budget
 //! (`CondenseSpec::context_cache_bytes`), and the registry rolls the
 //! per-context ledgers up: [`ContextRegistry::resident_bytes`] is the
 //! cross-context total, and [`ContextRegistry::evict_idle`] sheds whole
@@ -73,7 +76,7 @@ use crate::condense::CondenseSpec;
 use crate::context::{CondenseContext, DeltaSeedReport};
 use crate::failpoints;
 use crate::graph::{GraphDelta, HeteroGraph};
-use crate::snapshot::{snapshot_file_name, PropagatedCodec, SnapshotError, SnapshotLoadReport};
+use crate::snapshot::{snapshot_file_name, PropagatedCodec, SnapshotError};
 use freehgc_parallel::{relock, Flight, Leader};
 use freehgc_sparse::fx::FxHasher;
 use freehgc_sparse::{FxHashMap, FxHashSet};
@@ -348,21 +351,11 @@ impl ContextRegistry {
         graph: &Arc<HeteroGraph>,
         spec: &CondenseSpec,
     ) -> Option<Arc<CondenseContext<'static>>> {
-        self.peek_with(graph, spec.max_row_nnz, spec.cache_budget())
-    }
-
-    /// [`ContextRegistry::peek`] with explicit knobs.
-    pub fn peek_with(
-        &self,
-        graph: &Arc<HeteroGraph>,
-        max_row_nnz: Option<usize>,
-        cache_budget: Option<usize>,
-    ) -> Option<Arc<CondenseContext<'static>>> {
-        let key = (graph.fingerprint(), max_row_nnz, cache_budget);
+        let key = (graph.fingerprint(), spec.max_row_nnz, spec.cache_budget());
         let mut entries = relock(&self.entries);
         match entries.get_mut(&key) {
             Some(Slot::Ready { ctx, touch }) => {
-                *touch = self.touch_clock.fetch_add(1, Ordering::Relaxed);
+                *touch = self.tick();
                 let ctx = Arc::clone(ctx);
                 drop(entries);
                 self.check_collision(graph, &ctx, &key);
@@ -544,6 +537,16 @@ impl ContextRegistry {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return (ctx, R::default());
                     }
+                    // A leader that died without retiring its slot
+                    // leaves the failed flight in the map; retire it
+                    // (unless a new election already replaced it) so
+                    // the next round elects a fresh leader.
+                    let mut entries = relock(&self.entries);
+                    if matches!(entries.get(&key), Some(Slot::Building(f)) if Arc::ptr_eq(f, &flight))
+                    {
+                        entries.remove(&key);
+                    }
+                    drop(entries);
                     failures += 1;
                     assert!(
                         failures < MAX_BUILD_ATTEMPTS,
@@ -735,7 +738,7 @@ impl ContextRegistry {
                 load_outcome = match crate::snapshot::read_snapshot_bytes(&exact) {
                     Ok(bytes) => match crate::snapshot::decode_snapshot_into(ctx, &bytes, codec) {
                         Ok(r) => {
-                            report = seed_report_from_snapshot(&r);
+                            report = r;
                             Some(true)
                         }
                         Err(_) => Some(false),
@@ -750,7 +753,7 @@ impl ContextRegistry {
                             ctx, &bytes, old_fp, delta, codec,
                         ) {
                             Ok(r) => {
-                                report = seed_report_from_snapshot(&r);
+                                report = r;
                                 Some(true)
                             }
                             Err(_) => Some(false),
@@ -840,36 +843,6 @@ impl ContextRegistry {
         Ok(path)
     }
 
-    /// [`ContextRegistry::persist_with`] under a disk byte ceiling: the
-    /// snapshot keeps whole sections in priority-tier order (most
-    /// recompute-cost per byte first) while the file fits `cap_bytes`
-    /// and drops the rest — the dense propagated blocks first. The
-    /// written file is always ≤ the cap and always a valid snapshot; a
-    /// later [`ContextRegistry::resolve_or_load`] of it yields a
-    /// partial context whose missing sections degrade to counted cold
-    /// misses, never wrong bytes. Unlike [`ContextRegistry::persist`]
-    /// this does not merge an existing file first — merging could only
-    /// grow the payload back over the ceiling the caller asked for.
-    pub fn persist_capped(
-        &self,
-        dir: &Path,
-        graph: &Arc<HeteroGraph>,
-        spec: &CondenseSpec,
-        codec: Option<&dyn PropagatedCodec>,
-        cap_bytes: usize,
-    ) -> Result<PathBuf, SnapshotError> {
-        let ctx = self.context_for(graph, spec);
-        std::fs::create_dir_all(dir)?;
-        self.sweep_once(dir);
-        let path = dir.join(snapshot_file_name(
-            graph.fingerprint(),
-            spec.max_row_nnz,
-            spec.cache_budget(),
-        ));
-        ctx.save_snapshot_capped(&path, codec, cap_bytes)?;
-        Ok(path)
-    }
-
     /// Number of registered contexts (including in-flight builds).
     pub fn len(&self) -> usize {
         relock(&self.entries).len()
@@ -934,22 +907,6 @@ impl ContextRegistry {
     /// their slots so waiters still rendezvous with their leader.
     pub fn clear(&self) {
         relock(&self.entries).retain(|_, slot| matches!(slot, Slot::Building(_)));
-    }
-}
-
-/// Maps a snapshot load's per-family counts into the delta-seed report
-/// shape. Snapshots do not carry the paths / oriented sections (both
-/// are cheap to recompute), so those families report 0.
-fn seed_report_from_snapshot(r: &SnapshotLoadReport) -> DeltaSeedReport {
-    DeltaSeedReport {
-        paths: 0,
-        factors: r.factors,
-        composed: r.composed,
-        oriented: 0,
-        influence: r.influence,
-        diversity: r.diversity,
-        propagated: r.propagated,
-        dropped: r.dropped,
     }
 }
 
@@ -1301,6 +1258,23 @@ mod tests {
         assert!(reg.peek(&gb, &spec).is_none(), "idle B was dropped");
         assert_eq!(reg.evict_idle(0), 1, "zero ceiling clears the rest");
         assert!(reg.is_empty());
+    }
+
+    /// A build flight whose leader token was dropped without retiring
+    /// its slot must not block its key: the next resolver replaces it
+    /// and builds.
+    #[test]
+    fn a_stale_failed_flight_is_replaced_by_a_fresh_election() {
+        let reg = ContextRegistry::new();
+        let g = Arc::new(graph(1.0));
+        let spec = CondenseSpec::new(0.5);
+        let key = (g.fingerprint(), spec.max_row_nnz, spec.cache_budget());
+        let leader = BuildFlight::lead(());
+        relock(&reg.entries).insert(key, Slot::Building(leader.flight()));
+        drop(leader);
+        let ctx = reg.context_for(&g, &spec);
+        assert!(Arc::ptr_eq(&ctx, &reg.peek(&g, &spec).expect("ready")));
+        assert_eq!(reg.lookup_stats(), (0, 1), "one fresh cold build");
     }
 
     #[test]

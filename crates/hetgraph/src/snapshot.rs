@@ -23,12 +23,14 @@
 //! section* id u8 | payload_len u64 | checksum u64 | payload bytes
 //! ```
 //!
-//! Sections hold the factor cache, the composed cache (with each entry's
-//! recompute-cost estimate, so a budgeted loader evicts identically to
-//! the process that saved), the influence and diversity caches, and —
-//! when a [`PropagatedCodec`] is supplied — the type-erased propagated
-//! blocks. Map contents are written in key order, so identical cache
-//! contents produce identical bytes.
+//! One section per persisted cache family: factors, composed products
+//! (with each entry's recompute-cost estimate, so a budgeted loader
+//! evicts identically to the process that saved), influence and
+//! diversity vectors, and — when a [`PropagatedCodec`] is supplied — the
+//! type-erased propagated blocks. The pinned paths and oriented families
+//! are cheap to recompute and are not persisted. Sections are filled
+//! from the context's one sorted dump, so identical cache contents
+//! produce identical bytes.
 //!
 //! # Priority-tiered layout
 //!
@@ -56,8 +58,24 @@
 //! [`ContextRegistry::resolve_or_load`](crate::registry::ContextRegistry::resolve_or_load))
 //! converts into a clean cold miss. Corruption can cost a recompute,
 //! never a panic and never wrong bits.
+//!
+//! # Loading
+//!
+//! The decoders stage every entry in one list. A delta load
+//! ([`decode_snapshot_delta_into`]) asks the same survival rule as
+//! in-memory delta seeding for each entry and steps over the bytes of
+//! the ones the delta kills. Staged entries install through the
+//! context's one install path in family order — factors, composed,
+//! influence, diversity, propagated, not the file's tier order — so a
+//! budgeted load replays admissions deterministically. Every load
+//! reports what it installed and skipped as a
+//! [`DeltaSeedReport`](crate::DeltaSeedReport), the same type delta
+//! seeding returns.
 
-use crate::context::{AnyArc, CondenseContext, DiversityKey, InfluenceKey, InvalidationRules};
+use crate::context::{
+    vector_value, CacheEntry, CondenseContext, DeltaSeedReport, Family, FamilyKey, FamilyValue,
+    InfluenceKey, InvalidationRules,
+};
 use crate::graph::HeteroGraph;
 use crate::metapath::MetaPathStep;
 use crate::registry::GraphFingerprint;
@@ -141,29 +159,6 @@ impl std::error::Error for SnapshotError {}
 impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
         SnapshotError::Io(e)
-    }
-}
-
-/// What a successful load installed (and skipped), per cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SnapshotLoadReport {
-    pub factors: usize,
-    pub composed: usize,
-    pub influence: usize,
-    pub diversity: usize,
-    pub propagated: usize,
-    /// Propagated entries present in the file but skipped because the
-    /// loader supplied no [`PropagatedCodec`].
-    pub propagated_skipped: usize,
-    /// Entries present in the file but invalidated by the delta filter
-    /// ([`decode_snapshot_delta_into`]); always 0 for exact loads.
-    pub dropped: usize,
-}
-
-impl SnapshotLoadReport {
-    /// Total entries installed into the context.
-    pub fn installed(&self) -> usize {
-        self.factors + self.composed + self.influence + self.diversity + self.propagated
     }
 }
 
@@ -638,113 +633,125 @@ fn read_csr(r: &mut ByteReader<'_>) -> Result<CsrMatrix, SnapshotError> {
     Ok(CsrMatrix::from_parts(nrows, ncols, indptr, indices, values))
 }
 
-fn encode_factors(ctx: &CondenseContext<'_>) -> Vec<u8> {
-    let entries = ctx.dump_factors();
-    let mut w = ByteWriter::new();
-    w.put_usize(entries.len());
-    for (step, m) in entries {
-        put_step(&mut w, step);
-        put_csr(&mut w, &m);
+/// The snapshot section a family's entries travel in; `None` for the
+/// pinned paths and oriented families, which are cheap to recompute and
+/// never persisted.
+fn section_of(fam: Family) -> Option<u8> {
+    match fam {
+        Family::Factors => Some(SECTION_FACTORS),
+        Family::Composed => Some(SECTION_COMPOSED),
+        Family::Influence => Some(SECTION_INFLUENCE),
+        Family::Diversity => Some(SECTION_DIVERSITY),
+        Family::Propagated => Some(SECTION_PROPAGATED),
+        Family::Paths | Family::Oriented => None,
     }
-    w.into_bytes()
 }
 
-fn encode_composed(ctx: &CondenseContext<'_>) -> Vec<u8> {
-    let entries = ctx.dump_composed();
-    let mut w = ByteWriter::new();
-    w.put_usize(entries.len());
-    for (steps, m, cost) in entries {
-        w.put_usize(steps.len());
-        for s in steps {
-            put_step(&mut w, s);
+/// Appends one dumped entry to its section body. Returns false when
+/// nothing was written: a propagated value without a codec, or one
+/// whose concrete type is not the codec's.
+fn encode_entry(
+    w: &mut ByteWriter,
+    (key, value, _, cost): &CacheEntry,
+    codec: Option<&dyn PropagatedCodec>,
+) -> bool {
+    match (key, value) {
+        (FamilyKey::Factors(step), FamilyValue::Factors(m)) => {
+            put_step(w, *step);
+            put_csr(w, m);
         }
-        w.put_u64(cost);
-        put_csr(&mut w, &m);
-    }
-    w.into_bytes()
-}
-
-fn encode_influence(ctx: &CondenseContext<'_>) -> Vec<u8> {
-    let entries = ctx.dump_influence();
-    let mut w = ByteWriter::new();
-    w.put_usize(entries.len());
-    for (k, v) in entries {
-        w.put_u16(k.father.0);
-        w.put_usize(k.max_hops);
-        w.put_usize(k.max_paths);
-        w.put_u8(k.method.0);
-        for p in k.method.1 {
-            w.put_u32(p);
-        }
-        match &k.seed_targets {
-            None => w.put_u8(0),
-            Some(t) => {
-                w.put_u8(1);
-                w.put_usize(t.len());
-                w.put_u32_slice(t);
+        (FamilyKey::Composed(steps), FamilyValue::Composed(m)) => {
+            w.put_usize(steps.len());
+            for s in steps {
+                put_step(w, *s);
             }
+            w.put_u64(*cost);
+            put_csr(w, m);
         }
-        w.put_u64(k.seed);
-        w.put_usize(v.len());
-        w.put_f64_slice(&v);
-    }
-    w.into_bytes()
-}
-
-fn encode_diversity(ctx: &CondenseContext<'_>) -> Vec<u8> {
-    let entries = ctx.dump_diversity();
-    let mut w = ByteWriter::new();
-    w.put_usize(entries.len());
-    for ((root, max_hops, max_paths, path_idx), v) in entries {
-        w.put_u16(root.0);
-        w.put_usize(max_hops);
-        w.put_usize(max_paths);
-        w.put_usize(path_idx);
-        w.put_usize(v.len());
-        w.put_f64_slice(&v);
-    }
-    w.into_bytes()
-}
-
-fn encode_propagated(ctx: &CondenseContext<'_>, codec: &dyn PropagatedCodec) -> Vec<u8> {
-    let mut encoded: Vec<((usize, usize), Vec<u8>)> = Vec::new();
-    for (key, value, _, _) in ctx.dump_propagated() {
-        if let Some(bytes) = codec.encode(value.as_ref()) {
-            encoded.push((key, bytes));
+        (FamilyKey::Influence(k), FamilyValue::Influence(v)) => {
+            w.put_u16(k.father.0);
+            w.put_usize(k.max_hops);
+            w.put_usize(k.max_paths);
+            w.put_u8(k.method.0);
+            for p in k.method.1 {
+                w.put_u32(p);
+            }
+            match &k.seed_targets {
+                None => w.put_u8(0),
+                Some(t) => {
+                    w.put_u8(1);
+                    w.put_usize(t.len());
+                    w.put_u32_slice(t);
+                }
+            }
+            w.put_u64(k.seed);
+            w.put_usize(v.len());
+            w.put_f64_slice(v);
         }
+        (
+            FamilyKey::Diversity((root, max_hops, max_paths, path_idx)),
+            FamilyValue::Diversity(v),
+        ) => {
+            w.put_u16(root.0);
+            w.put_usize(*max_hops);
+            w.put_usize(*max_paths);
+            w.put_usize(*path_idx);
+            w.put_usize(v.len());
+            w.put_f64_slice(v);
+        }
+        (FamilyKey::Propagated((a, b)), FamilyValue::Propagated(v)) => {
+            let Some(bytes) = codec.and_then(|c| c.encode(v.as_ref())) else {
+                return false;
+            };
+            w.put_usize(*a);
+            w.put_usize(*b);
+            w.put_usize(bytes.len());
+            w.put_bytes(&bytes);
+        }
+        _ => return false,
     }
-    let mut w = ByteWriter::new();
-    w.put_usize(encoded.len());
-    for ((a, b), bytes) in encoded {
-        w.put_usize(a);
-        w.put_usize(b);
-        w.put_usize(bytes.len());
-        w.put_bytes(&bytes);
-    }
-    w.into_bytes()
+    true
 }
 
-/// Encodes every section payload in *tier order*: descending
-/// recompute-cost-per-byte, so a byte cap truncates from the cheap end.
-/// Influence and diversity vectors are tiny and dear (dozens of passes
-/// per element to rebuild); composed products cost a full SpGEMM chain;
-/// factors are one normalization each but the engine would pin their
-/// buffers anyway; the dense propagated blocks are one SpMM per block
-/// and dominate the file, so they go last and drop first.
+/// Encodes every section payload (entry count, then the entries in key
+/// order) in *tier order*: descending recompute-cost-per-byte, so a
+/// byte cap truncates from the cheap end. Influence and diversity
+/// vectors are tiny and dear (dozens of passes per element to rebuild);
+/// composed products cost a full SpGEMM chain; factors are one
+/// normalization each but every product reads them anyway; the dense
+/// propagated blocks are one SpMM per block and dominate the file, so
+/// they go last and drop first.
 fn encode_sections(
     ctx: &CondenseContext<'_>,
     codec: Option<&dyn PropagatedCodec>,
 ) -> Vec<(u8, Vec<u8>)> {
-    let mut sections: Vec<(u8, Vec<u8>)> = vec![
-        (SECTION_INFLUENCE, encode_influence(ctx)),
-        (SECTION_DIVERSITY, encode_diversity(ctx)),
-        (SECTION_COMPOSED, encode_composed(ctx)),
-        (SECTION_FACTORS, encode_factors(ctx)),
-    ];
-    if let Some(codec) = codec {
-        sections.push((SECTION_PROPAGATED, encode_propagated(ctx, codec)));
+    let mut bodies: [(usize, ByteWriter); 6] = Default::default();
+    for entry in ctx.dump() {
+        if let Some(id) = section_of(entry.0.family()) {
+            let (count, w) = &mut bodies[id as usize];
+            if encode_entry(w, &entry, codec) {
+                *count += 1;
+            }
+        }
     }
-    sections
+    let tiers = [
+        SECTION_INFLUENCE,
+        SECTION_DIVERSITY,
+        SECTION_COMPOSED,
+        SECTION_FACTORS,
+        SECTION_PROPAGATED,
+    ];
+    tiers
+        .into_iter()
+        .filter(|&id| id != SECTION_PROPAGATED || codec.is_some())
+        .map(|id| {
+            let (count, body) = std::mem::take(&mut bodies[id as usize]);
+            let mut w = ByteWriter::new();
+            w.put_usize(count);
+            w.put_bytes(&body.into_bytes());
+            (id, w.into_bytes())
+        })
+        .collect()
 }
 
 /// Bytes one section contributes beyond its payload: id (u8) +
@@ -772,7 +779,7 @@ fn assemble_snapshot(ctx: &CondenseContext<'_>, sections: &[(u8, Vec<u8>)]) -> V
 }
 
 /// Serializes `ctx`'s caches to snapshot bytes. Pure in-memory encoding;
-/// see [`CondenseContext::save_snapshot`] for the file wrapper.
+/// see [`CondenseContext::save_snapshot_with`] for the file wrapper.
 pub fn encode_snapshot(ctx: &CondenseContext<'_>, codec: Option<&dyn PropagatedCodec>) -> Vec<u8> {
     assemble_snapshot(ctx, &encode_sections(ctx, codec))
 }
@@ -815,13 +822,37 @@ pub fn encode_snapshot_capped(
 /// in `dropped`.
 #[derive(Default)]
 struct Staging {
-    factors: Vec<(MetaPathStep, CsrMatrix)>,
-    composed: Vec<(Vec<MetaPathStep>, CsrMatrix, u64)>,
-    influence: Vec<(InfluenceKey, Vec<f64>)>,
-    diversity: Vec<(DiversityKey, Vec<f64>)>,
-    propagated: Vec<((usize, usize), AnyArc)>,
+    entries: Vec<CacheEntry>,
+    /// Propagated entries skipped because the loader has no codec.
     propagated_skipped: usize,
     dropped: usize,
+}
+
+impl Staging {
+    /// Whether the entry under `key` survives the delta (always, on an
+    /// exact load). A doomed entry is counted here; its decoder skips
+    /// the value bytes.
+    fn wants(&mut self, rules: &mut Option<InvalidationRules<'_>>, key: &FamilyKey) -> bool {
+        let keep = rules.as_mut().is_none_or(|ru| ru.survives(key));
+        self.dropped += usize::from(!keep);
+        keep
+    }
+}
+
+/// Steps over `n` encoded `f64`s.
+fn skip_f64s(r: &mut ByteReader<'_>, n: usize) -> Result<(), SnapshotError> {
+    let bytes = n
+        .checked_mul(8)
+        .ok_or(SnapshotError::Malformed("length overflow"))?;
+    r.take(bytes).map(drop)
+}
+
+fn no_trailing(r: &ByteReader<'_>, what: &'static str) -> Result<(), SnapshotError> {
+    if r.is_empty() {
+        Ok(())
+    } else {
+        Err(SnapshotError::Malformed(what))
+    }
 }
 
 fn decode_factors(
@@ -832,19 +863,15 @@ fn decode_factors(
     let mut r = ByteReader::new(payload);
     let count = r.seq_len(3)?;
     for _ in 0..count {
-        let step = read_step(&mut r)?;
-        if rules.as_mut().is_some_and(|ru| !ru.factor_clean(step)) {
-            skip_csr(&mut r)?;
-            out.dropped += 1;
+        let key = FamilyKey::Factors(read_step(&mut r)?);
+        if out.wants(rules, &key) {
+            let m = Arc::new(read_csr(&mut r)?);
+            out.entries.push((key, FamilyValue::Factors(m), 0, 0));
         } else {
-            let m = read_csr(&mut r)?;
-            out.factors.push((step, m));
+            skip_csr(&mut r)?;
         }
     }
-    if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes in factors"));
-    }
-    Ok(())
+    no_trailing(&r, "trailing bytes in factors")
 }
 
 fn decode_composed(
@@ -857,7 +884,7 @@ fn decode_composed(
     for _ in 0..count {
         let nsteps = r.seq_len(3)?;
         if nsteps < 2 {
-            // Single-step paths live in the factor cache by design; a
+            // Single-step paths live in the factor family by design; a
             // snapshot that claims otherwise is not one we wrote.
             return Err(SnapshotError::Malformed("composed entry under 2 steps"));
         }
@@ -866,21 +893,17 @@ fn decode_composed(
             steps.push(read_step(&mut r)?);
         }
         let cost = r.u64()?;
-        if rules
-            .as_mut()
-            .is_some_and(|ru| steps.iter().any(|s| !ru.factor_clean(*s)))
-        {
-            skip_csr(&mut r)?;
-            out.dropped += 1;
-        } else {
+        let key = FamilyKey::Composed(steps);
+        if out.wants(rules, &key) {
             let m = read_csr(&mut r)?;
-            out.composed.push((steps, m, cost));
+            let bytes = m.storage_bytes();
+            out.entries
+                .push((key, FamilyValue::Composed(Arc::new(m)), bytes, cost));
+        } else {
+            skip_csr(&mut r)?;
         }
     }
-    if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes in composed"));
-    }
-    Ok(())
+    no_trailing(&r, "trailing bytes in composed")
 }
 
 fn decode_influence(
@@ -911,34 +934,22 @@ fn decode_influence(
         };
         let seed = r.u64()?;
         let n = r.seq_len(8)?;
-        if rules
-            .as_mut()
-            .is_some_and(|ru| !ru.influence_clean(father, max_hops, max_paths))
-        {
-            let bytes = n
-                .checked_mul(8)
-                .ok_or(SnapshotError::Malformed("length overflow"))?;
-            r.take(bytes)?;
-            out.dropped += 1;
-            continue;
+        let key = FamilyKey::Influence(InfluenceKey {
+            father,
+            max_hops,
+            max_paths,
+            method: (disc, params),
+            seed_targets,
+            seed,
+        });
+        if out.wants(rules, &key) {
+            let (value, bytes, cost) = vector_value(Family::Influence, r.f64_vec(n)?);
+            out.entries.push((key, value, bytes, cost));
+        } else {
+            skip_f64s(&mut r, n)?;
         }
-        let v = r.f64_vec(n)?;
-        out.influence.push((
-            InfluenceKey {
-                father,
-                max_hops,
-                max_paths,
-                method: (disc, params),
-                seed_targets,
-                seed,
-            },
-            v,
-        ));
     }
-    if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes in influence"));
-    }
-    Ok(())
+    no_trailing(&r, "trailing bytes in influence")
 }
 
 fn decode_diversity(
@@ -954,25 +965,15 @@ fn decode_diversity(
         let max_paths = r.usize()?;
         let path_idx = r.usize()?;
         let n = r.seq_len(8)?;
-        if rules
-            .as_mut()
-            .is_some_and(|ru| !ru.diversity_clean(root, max_hops, max_paths, path_idx))
-        {
-            let bytes = n
-                .checked_mul(8)
-                .ok_or(SnapshotError::Malformed("length overflow"))?;
-            r.take(bytes)?;
-            out.dropped += 1;
-            continue;
+        let key = FamilyKey::Diversity((root, max_hops, max_paths, path_idx));
+        if out.wants(rules, &key) {
+            let (value, bytes, cost) = vector_value(Family::Diversity, r.f64_vec(n)?);
+            out.entries.push((key, value, bytes, cost));
+        } else {
+            skip_f64s(&mut r, n)?;
         }
-        let v = r.f64_vec(n)?;
-        out.diversity
-            .push(((root, max_hops, max_paths, path_idx), v));
     }
-    if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes in diversity"));
-    }
-    Ok(())
+    no_trailing(&r, "trailing bytes in diversity")
 }
 
 fn decode_propagated(
@@ -984,33 +985,27 @@ fn decode_propagated(
     let mut r = ByteReader::new(payload);
     let count = r.seq_len(24)?;
     for _ in 0..count {
-        let key = (r.usize()?, r.usize()?);
+        let key = FamilyKey::Propagated((r.usize()?, r.usize()?));
         let len = r.seq_len(1)?;
         let bytes = r.take(len)?;
-        match codec {
-            None => out.propagated_skipped += 1,
-            Some(codec) => {
-                // Skipping the codec decode for invalidated blocks is
-                // the biggest delta-load saving: propagated blocks are
-                // dense and dominate the file.
-                if rules
-                    .as_mut()
-                    .is_some_and(|ru| !ru.propagated_clean(key.0, key.1))
-                {
-                    out.dropped += 1;
-                    continue;
-                }
-                let value = codec
-                    .decode(bytes)
-                    .ok_or(SnapshotError::Malformed("propagated payload"))?;
-                out.propagated.push((key, value));
-            }
+        let Some(codec) = codec else {
+            out.propagated_skipped += 1;
+            continue;
+        };
+        // Skipping the codec decode for invalidated blocks is the
+        // biggest delta-load saving: propagated blocks are dense and
+        // dominate the file.
+        if out.wants(rules, &key) {
+            let value = codec
+                .decode(bytes)
+                .ok_or(SnapshotError::Malformed("propagated payload"))?;
+            let bytes = codec.resident_bytes(value.as_ref());
+            let cost = codec.recompute_cost(value.as_ref());
+            out.entries
+                .push((key, FamilyValue::Propagated(value), bytes, cost));
         }
     }
-    if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes in propagated"));
-    }
-    Ok(())
+    no_trailing(&r, "trailing bytes in propagated")
 }
 
 /// Shape-checks every staged entry against the graph it is about to
@@ -1021,7 +1016,7 @@ fn decode_propagated(
 /// counts, or whose vector length disagrees with the scored type's node
 /// count would otherwise pass decode and then panic deep inside a later
 /// SpGEMM, propagation multiply or selection index.
-fn validate_against_graph(staging: &Staging, g: &HeteroGraph) -> Result<(), SnapshotError> {
+fn validate_against_graph(entries: &[CacheEntry], g: &HeteroGraph) -> Result<(), SnapshotError> {
     let schema = g.schema();
     let n_types = schema.num_node_types();
     // Oriented factor dimensions implied by a step: the stored edge is
@@ -1034,39 +1029,50 @@ fn validate_against_graph(staging: &Staging, g: &HeteroGraph) -> Result<(), Snap
         let (a, b) = (g.num_nodes(src), g.num_nodes(dst));
         Ok(if s.forward { (a, b) } else { (b, a) })
     };
-    for (step, m) in &staging.factors {
-        let (rows, cols) = step_dims(step)?;
-        if m.nrows() != rows || m.ncols() != cols {
-            return Err(SnapshotError::Malformed("factor shape mismatch"));
+    // A scored vector is indexed by the nodes of one type.
+    let vector_len = |t: NodeTypeId, v: &[f64], range, len| {
+        if (t.0 as usize) >= n_types {
+            return Err(SnapshotError::Malformed(range));
         }
-    }
-    for (steps, m, _) in &staging.composed {
-        let (rows, mut cols) = step_dims(&steps[0])?;
-        for s in &steps[1..] {
-            let (r, c) = step_dims(s)?;
-            if r != cols {
-                return Err(SnapshotError::Malformed("composed steps do not chain"));
+        if v.len() != g.num_nodes(t) {
+            return Err(SnapshotError::Malformed(len));
+        }
+        Ok(())
+    };
+    for (key, value, ..) in entries {
+        match (key, value) {
+            (FamilyKey::Factors(step), FamilyValue::Factors(m)) => {
+                let (rows, cols) = step_dims(step)?;
+                if m.nrows() != rows || m.ncols() != cols {
+                    return Err(SnapshotError::Malformed("factor shape mismatch"));
+                }
             }
-            cols = c;
-        }
-        if m.nrows() != rows || m.ncols() != cols {
-            return Err(SnapshotError::Malformed("composed shape mismatch"));
-        }
-    }
-    for (k, v) in &staging.influence {
-        if (k.father.0 as usize) >= n_types {
-            return Err(SnapshotError::Malformed("influence node type out of range"));
-        }
-        if v.len() != g.num_nodes(k.father) {
-            return Err(SnapshotError::Malformed("influence length mismatch"));
-        }
-    }
-    for ((root, _, _, _), v) in &staging.diversity {
-        if (root.0 as usize) >= n_types {
-            return Err(SnapshotError::Malformed("diversity node type out of range"));
-        }
-        if v.len() != g.num_nodes(*root) {
-            return Err(SnapshotError::Malformed("diversity length mismatch"));
+            (FamilyKey::Composed(steps), FamilyValue::Composed(m)) => {
+                let (rows, mut cols) = step_dims(&steps[0])?;
+                for s in &steps[1..] {
+                    let (r, c) = step_dims(s)?;
+                    if r != cols {
+                        return Err(SnapshotError::Malformed("composed steps do not chain"));
+                    }
+                    cols = c;
+                }
+                if m.nrows() != rows || m.ncols() != cols {
+                    return Err(SnapshotError::Malformed("composed shape mismatch"));
+                }
+            }
+            (FamilyKey::Influence(k), FamilyValue::Influence(v)) => vector_len(
+                k.father,
+                v,
+                "influence node type out of range",
+                "influence length mismatch",
+            )?,
+            (FamilyKey::Diversity((root, ..)), FamilyValue::Diversity(v)) => vector_len(
+                *root,
+                v,
+                "diversity node type out of range",
+                "diversity length mismatch",
+            )?,
+            _ => {}
         }
     }
     Ok(())
@@ -1086,7 +1092,7 @@ pub fn decode_snapshot_into(
     ctx: &CondenseContext<'_>,
     bytes: &[u8],
     codec: Option<&dyn PropagatedCodec>,
-) -> Result<SnapshotLoadReport, SnapshotError> {
+) -> Result<DeltaSeedReport, SnapshotError> {
     decode_snapshot_core(ctx, bytes, ctx.graph().fingerprint(), None, codec)
 }
 
@@ -1106,7 +1112,7 @@ pub fn decode_snapshot_delta_into(
     old_fp: GraphFingerprint,
     delta: &crate::graph::GraphDelta,
     codec: Option<&dyn PropagatedCodec>,
-) -> Result<SnapshotLoadReport, SnapshotError> {
+) -> Result<DeltaSeedReport, SnapshotError> {
     decode_snapshot_core(ctx, bytes, old_fp, Some(delta), codec)
 }
 
@@ -1116,7 +1122,7 @@ fn decode_snapshot_core(
     expected: GraphFingerprint,
     delta: Option<&crate::graph::GraphDelta>,
     codec: Option<&dyn PropagatedCodec>,
-) -> Result<SnapshotLoadReport, SnapshotError> {
+) -> Result<DeltaSeedReport, SnapshotError> {
     let mut r = ByteReader::new(bytes);
     if r.take(8)? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -1173,81 +1179,42 @@ fn decode_snapshot_core(
     if !r.is_empty() {
         return Err(SnapshotError::Malformed("trailing bytes after sections"));
     }
-    let dropped = staging.dropped;
-
-    validate_against_graph(&staging, ctx.graph())?;
+    // Install in family order (factors, composed, influence, diversity,
+    // propagated — not the file's tier order), each family in file
+    // order, so a budgeted load replays admissions deterministically.
+    // Validation walks the same order.
+    staging.entries.sort_by_key(|(key, ..)| key.family());
+    validate_against_graph(&staging.entries, ctx.graph())?;
     if let Some(codec) = codec {
-        for (_, v) in &staging.propagated {
-            if !codec.validate(v.as_ref(), ctx.graph()) {
-                return Err(SnapshotError::Malformed("propagated shape mismatch"));
+        for (_, value, ..) in &staging.entries {
+            if let FamilyValue::Propagated(v) = value {
+                if !codec.validate(v.as_ref(), ctx.graph()) {
+                    return Err(SnapshotError::Malformed("propagated shape mismatch"));
+                }
             }
         }
     }
 
-    // Everything validated — install. Order matches the save order, so
-    // a budgeted composed cache replays admissions deterministically.
-    let report = SnapshotLoadReport {
-        factors: staging.factors.len(),
-        composed: staging.composed.len(),
-        influence: staging.influence.len(),
-        diversity: staging.diversity.len(),
-        propagated: staging.propagated.len(),
+    // Everything validated — install.
+    Ok(DeltaSeedReport {
         propagated_skipped: staging.propagated_skipped,
-        dropped,
-    };
-    for (step, m) in staging.factors {
-        ctx.install_factor(step, Arc::new(m));
-    }
-    for (steps, m, cost) in staging.composed {
-        ctx.install_composed(steps, Arc::new(m), cost);
-    }
-    for (k, v) in staging.influence {
-        ctx.install_influence(k, Arc::new(v));
-    }
-    for (k, v) in staging.diversity {
-        ctx.install_diversity(k, Arc::new(v));
-    }
-    for (k, v) in staging.propagated {
-        let bytes = codec.map_or(0, |c| c.resident_bytes(v.as_ref()));
-        let cost = codec.map_or(0, |c| c.recompute_cost(v.as_ref()));
-        ctx.install_propagated(k, v, bytes, cost);
-    }
-    Ok(report)
+        dropped: staging.dropped,
+        ..ctx.install(staging.entries)
+    })
 }
 
 impl CondenseContext<'_> {
     /// Writes this context's caches to `path` as a versioned snapshot,
-    /// skipping the propagated blocks (supply a codec via
-    /// [`CondenseContext::save_snapshot_with`] to include them). The
-    /// write goes through a sibling temp file and an atomic rename, so a
-    /// crashed writer can never leave a half-written file under the
-    /// canonical name.
-    pub fn save_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        self.save_snapshot_with(path, None)
-    }
-
-    /// [`CondenseContext::save_snapshot`] including the propagated
-    /// blocks, round-tripped through `codec`.
+    /// including the propagated blocks round-tripped through `codec`
+    /// (skipped when `codec` is `None`). The write goes through a
+    /// sibling temp file and an atomic rename, so a crashed writer can
+    /// never leave a half-written file under the canonical name.
     pub fn save_snapshot_with(
         &self,
         path: &Path,
         codec: Option<&dyn PropagatedCodec>,
     ) -> Result<(), SnapshotError> {
-        // The temp name must be unique per *call*, not just per process:
-        // two threads saving the same path concurrently (two benches on
-        // one graph) would otherwise interleave writes into one temp
-        // file and could rename torn bytes under the canonical name.
-        // Each retry attempt also gets a fresh name, so a torn attempt's
-        // leftover can never be renamed by a later one.
-        static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let bytes = encode_snapshot(self, codec);
-        retry_io(|| {
-            let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let mut tmp = path.as_os_str().to_owned();
-            tmp.push(format!(".tmp-{}-{seq}", std::process::id()));
-            write_atomic(&std::path::PathBuf::from(tmp), path, &bytes)
-        })?;
-        Ok(())
+        write_snapshot(path, &encode_snapshot(self, codec))
     }
 
     /// [`CondenseContext::save_snapshot_with`] under a disk byte
@@ -1263,14 +1230,8 @@ impl CondenseContext<'_> {
         codec: Option<&dyn PropagatedCodec>,
         cap_bytes: usize,
     ) -> Result<usize, SnapshotError> {
-        static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let (bytes, dropped) = encode_snapshot_capped(self, codec, cap_bytes);
-        retry_io(|| {
-            let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let mut tmp = path.as_os_str().to_owned();
-            tmp.push(format!(".tmp-{}-{seq}", std::process::id()));
-            write_atomic(&std::path::PathBuf::from(tmp), path, &bytes)
-        })?;
+        write_snapshot(path, &bytes)?;
         Ok(dropped)
     }
 
@@ -1301,10 +1262,28 @@ impl CondenseContext<'_> {
         &self,
         path: &Path,
         codec: Option<&dyn PropagatedCodec>,
-    ) -> Result<SnapshotLoadReport, SnapshotError> {
+    ) -> Result<DeltaSeedReport, SnapshotError> {
         let bytes = read_snapshot_bytes(path)?;
         decode_snapshot_into(self, &bytes, codec)
     }
+}
+
+/// Writes `bytes` to `path` atomically, retrying transient failures.
+fn write_snapshot(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+    // The temp name must be unique per *call*, not just per process:
+    // two threads saving the same path concurrently (two benches on one
+    // graph) would otherwise interleave writes into one temp file and
+    // could rename torn bytes under the canonical name. Each retry
+    // attempt also gets a fresh name, so a torn attempt's leftover can
+    // never be renamed by a later one.
+    static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    retry_io(|| {
+        let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(".tmp-{}-{seq}", std::process::id()));
+        write_atomic(&std::path::PathBuf::from(tmp), path, bytes)
+    })?;
+    Ok(())
 }
 
 /// One atomic-save attempt: write `bytes` to `tmp`, fsync, rename over
@@ -1342,6 +1321,7 @@ fn write_atomic(tmp: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::AnyArc;
     use crate::features::FeatureMatrix;
     use crate::graph::{HeteroGraph, HeteroGraphBuilder};
     use crate::schema::Schema;
@@ -1533,11 +1513,11 @@ mod tests {
             ctx.max_row_nnz(),
             ctx.cache_budget(),
         ));
-        ctx.save_snapshot(&path).expect("save");
+        ctx.save_snapshot_with(&path, None).expect("save");
 
         let fresh = CondenseContext::new(&g);
         let report = fresh.load_snapshot_with(&path, None).expect("load");
-        assert!(report.installed() > 0);
+        assert!(report.reused() > 0);
         let root = g.schema().target();
         for p in fresh.metapaths(root, 3, 100).iter() {
             assert_eq!(*fresh.adjacency(p), *ctx.adjacency(p));
@@ -1582,66 +1562,67 @@ mod tests {
             edge: crate::schema::EdgeTypeId(0),
             forward,
         };
+        let check = |key: FamilyKey, value: FamilyValue| {
+            validate_against_graph(&[(key, value, 0, 0)], &g).is_ok()
+        };
+        let factor = |step, m| check(FamilyKey::Factors(step), FamilyValue::Factors(Arc::new(m)));
+        let composed = |steps, m| {
+            check(
+                FamilyKey::Composed(steps),
+                FamilyValue::Composed(Arc::new(m)),
+            )
+        };
 
-        let mut s = Staging::default();
-        s.factors.push((pa(true), CsrMatrix::zeros(4, 3)));
-        assert!(validate_against_graph(&s, &g).is_ok(), "true shape passes");
-
-        let mut s = Staging::default();
-        s.factors.push((pa(true), CsrMatrix::zeros(1, 1)));
-        assert!(validate_against_graph(&s, &g).is_err(), "factor shape");
-
-        let mut s = Staging::default();
-        s.factors.push((
-            MetaPathStep {
-                edge: crate::schema::EdgeTypeId(99),
-                forward: true,
-            },
-            CsrMatrix::zeros(1, 1),
-        ));
-        assert!(validate_against_graph(&s, &g).is_err(), "edge id range");
+        assert!(
+            factor(pa(true), CsrMatrix::zeros(4, 3)),
+            "true shape passes"
+        );
+        assert!(!factor(pa(true), CsrMatrix::zeros(1, 1)), "factor shape");
+        let far = MetaPathStep {
+            edge: crate::schema::EdgeTypeId(99),
+            forward: true,
+        };
+        assert!(!factor(far, CsrMatrix::zeros(1, 1)), "edge id range");
 
         // pa forward (4×3) followed by pa forward again cannot chain
         // (cols 3 ≠ rows 4); pa forward then pa reverse chains to 4×4.
-        let mut s = Staging::default();
-        s.composed
-            .push((vec![pa(true), pa(true)], CsrMatrix::zeros(4, 3), 1));
-        assert!(validate_against_graph(&s, &g).is_err(), "broken chain");
-        let mut s = Staging::default();
-        s.composed
-            .push((vec![pa(true), pa(false)], CsrMatrix::zeros(4, 4), 1));
-        assert!(validate_against_graph(&s, &g).is_ok(), "P-A-P chains");
-        let mut s = Staging::default();
-        s.composed
-            .push((vec![pa(true), pa(false)], CsrMatrix::zeros(4, 2), 1));
-        assert!(validate_against_graph(&s, &g).is_err(), "composed shape");
+        assert!(
+            !composed(vec![pa(true), pa(true)], CsrMatrix::zeros(4, 3)),
+            "broken chain"
+        );
+        assert!(
+            composed(vec![pa(true), pa(false)], CsrMatrix::zeros(4, 4)),
+            "P-A-P chains"
+        );
+        assert!(
+            !composed(vec![pa(true), pa(false)], CsrMatrix::zeros(4, 2)),
+            "composed shape"
+        );
 
         let author = g.schema().node_type_by_name("author").unwrap();
-        let key = |father| InfluenceKey {
-            father,
-            max_hops: 2,
-            max_paths: 8,
-            method: (0, [0; 4]),
-            seed_targets: None,
-            seed: 0,
+        let influence = |father, len| {
+            let key = InfluenceKey {
+                father,
+                max_hops: 2,
+                max_paths: 8,
+                method: (0, [0; 4]),
+                seed_targets: None,
+                seed: 0,
+            };
+            let (value, ..) = vector_value(Family::Influence, vec![0.0; len]);
+            check(FamilyKey::Influence(key), value)
         };
-        let mut s = Staging::default();
-        s.influence.push((key(author), vec![0.0; 3]));
-        assert!(validate_against_graph(&s, &g).is_ok(), "3 authors");
-        let mut s = Staging::default();
-        s.influence.push((key(author), vec![0.0; 2]));
-        assert!(validate_against_graph(&s, &g).is_err(), "influence length");
-        let mut s = Staging::default();
-        s.influence.push((key(NodeTypeId(42)), vec![0.0; 3]));
-        assert!(validate_against_graph(&s, &g).is_err(), "node id range");
+        assert!(influence(author, 3), "3 authors");
+        assert!(!influence(author, 2), "influence length");
+        assert!(!influence(NodeTypeId(42), 3), "node id range");
 
         let root = g.schema().target();
-        let mut s = Staging::default();
-        s.diversity.push(((root, 2, 8, 0), vec![0.0; 4]));
-        assert!(validate_against_graph(&s, &g).is_ok(), "4 papers");
-        let mut s = Staging::default();
-        s.diversity.push(((root, 2, 8, 0), vec![0.0; 5]));
-        assert!(validate_against_graph(&s, &g).is_err(), "diversity length");
+        let diversity = |len| {
+            let (value, ..) = vector_value(Family::Diversity, vec![0.0; len]);
+            check(FamilyKey::Diversity((root, 2, 8, 0)), value)
+        };
+        assert!(diversity(4), "4 papers");
+        assert!(!diversity(5), "diversity length");
     }
 
     /// The checksum is an unkeyed Fx hash anyone can recompute, so a
@@ -1709,6 +1690,54 @@ mod tests {
         let report = check.load_snapshot_with(&path, None).unwrap();
         assert!(report.composed > 0, "warm entries must survive a cold save");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A propagated codec for `Vec<u32>` blocks, so the golden test
+    /// covers the propagated section without the `hgnn` block type.
+    struct U32Codec;
+
+    impl PropagatedCodec for U32Codec {
+        fn encode(&self, value: &dyn Any) -> Option<Vec<u8>> {
+            let v = value.downcast_ref::<Vec<u32>>()?;
+            let mut w = ByteWriter::new();
+            w.put_usize(v.len());
+            w.put_u32_slice(v);
+            Some(w.into_bytes())
+        }
+
+        fn decode(&self, bytes: &[u8]) -> Option<AnyArc> {
+            let mut r = ByteReader::new(bytes);
+            let n = r.seq_len(4).ok()?;
+            Some(Arc::new(r.u32_vec(n).ok()?))
+        }
+    }
+
+    /// Pins the file format across commits: the bytes of the warmed
+    /// fixture must keep their length and Fx hash, with and without the
+    /// propagated section.
+    #[test]
+    fn golden_snapshot_bytes_are_stable() {
+        let g = fixture();
+        let ctx = CondenseContext::new(&g);
+        warm(&ctx);
+        ctx.propagated_costed((2, 12), || vec![7u32, 1, 9], |v| v.len() * 4, |_| 8);
+        let digest = |bytes: &[u8]| {
+            let mut h = FxHasher::default();
+            h.write(bytes);
+            (bytes.len(), h.finish())
+        };
+        let plain = digest(&encode_snapshot(&ctx, None));
+        let with_codec = digest(&encode_snapshot(&ctx, Some(&U32Codec)));
+        assert_eq!(
+            plain,
+            (1552, 10490979056460214865),
+            "snapshot bytes without a codec"
+        );
+        assert_eq!(
+            with_codec,
+            (1621, 15399525706154878681),
+            "snapshot bytes with a codec"
+        );
     }
 
     #[test]

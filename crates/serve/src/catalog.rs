@@ -5,13 +5,16 @@
 //! generated on first sight and memoized under their `(kind, scale,
 //! seed)` key, so repeated inline requests for the same spec share one
 //! graph value — and therefore one fingerprint, one registry context,
-//! and one warm fast path.
+//! and one warm fast path. The memo keeps the [`INLINE_MEMO_CAP`] most
+//! recently generated specs (FIFO), so a stream of fresh seeds cannot
+//! grow it without bound; an evicted spec is simply generated again,
+//! to identical content.
 
 use crate::wire::GraphRef;
 use freehgc_datasets::DatasetKind;
 use freehgc_hetgraph::HeteroGraph;
 use freehgc_parallel::relock;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Parses a wire dataset-kind name (the strings `DatasetKind::name`
@@ -32,10 +35,15 @@ pub fn dataset_kind_by_name(name: &str) -> Option<DatasetKind> {
 
 type InlineKey = (String, u64, u64);
 
+/// Inline graphs kept memoized, matching the server's reply memo.
+const INLINE_MEMO_CAP: usize = 256;
+
 #[derive(Default)]
 struct CatalogState {
     registered: BTreeMap<String, Arc<HeteroGraph>>,
     inline: BTreeMap<InlineKey, Arc<HeteroGraph>>,
+    /// Keys of `inline`, oldest first.
+    inline_order: VecDeque<InlineKey>,
 }
 
 /// Why a [`GraphRef`] failed to resolve.
@@ -128,8 +136,17 @@ impl GraphCatalog {
                 }
                 let built = Arc::new(freehgc_datasets::generate(dk, *scale, *seed));
                 let mut state = relock(&self.state);
-                let entry = state.inline.entry(key).or_insert(built);
-                Ok(Arc::clone(entry))
+                if let Some(g) = state.inline.get(&key) {
+                    return Ok(Arc::clone(g));
+                }
+                if state.inline_order.len() >= INLINE_MEMO_CAP {
+                    if let Some(oldest) = state.inline_order.pop_front() {
+                        state.inline.remove(&oldest);
+                    }
+                }
+                state.inline_order.push_back(key.clone());
+                state.inline.insert(key, Arc::clone(&built));
+                Ok(built)
             }
         }
     }
@@ -174,6 +191,25 @@ mod tests {
             })
             .unwrap();
         assert!(!Arc::ptr_eq(&first, &other));
+    }
+
+    #[test]
+    fn inline_memo_is_fifo_capped() {
+        let catalog = GraphCatalog::new();
+        let spec = |seed| GraphRef::Inline {
+            kind: "ACM".into(),
+            scale: 0.02,
+            seed,
+        };
+        let first = catalog.resolve(&spec(0)).unwrap().fingerprint();
+        for seed in 1..=INLINE_MEMO_CAP as u64 {
+            catalog.resolve(&spec(seed)).unwrap();
+        }
+        assert_eq!(relock(&catalog.state).inline.len(), INLINE_MEMO_CAP);
+        assert_eq!(relock(&catalog.state).inline_order.len(), INLINE_MEMO_CAP);
+        // The oldest spec was evicted; resolving it again regenerates
+        // the same content.
+        assert_eq!(catalog.resolve(&spec(0)).unwrap().fingerprint(), first);
     }
 
     #[test]

@@ -489,8 +489,14 @@ impl ServeHandle {
             inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
             match flight.wait_polling(WAIT_SLICE, wait_hook(deadline, &cancel, opts)) {
                 Ok(Ok(reply)) | Err(reply) => return reply,
-                // The leader took the error; run a fresh election.
-                Ok(Err(reply)) => last_failure = Some(reply),
+                // The leader took the error. Its flight is normally
+                // retired already; one whose leader died before
+                // publishing is not, so retire it here, then run a
+                // fresh election.
+                Ok(Err(reply)) => {
+                    retire_flight(inner, &key, &flight);
+                    last_failure = Some(reply);
+                }
             }
         }
         last_failure.unwrap_or_else(|| err(ErrorCode::Internal, "retries exhausted"))
@@ -722,19 +728,23 @@ fn wait_hook<'a>(
     }
 }
 
+/// Removes `key` from the in-flight map if it still maps to `flight`
+/// (a newer election's flight is left alone).
+fn retire_flight(inner: &ServerInner, key: &FlightKey, flight: &ReplyFlight) {
+    let mut inflight = relock(&inner.inflight);
+    if inflight
+        .get(key)
+        .is_some_and(|cur| std::ptr::eq(&**cur, flight))
+    {
+        inflight.remove(key);
+    }
+}
+
 /// Publishes a flight's outcome and retires it from the in-flight map,
 /// waking every waiter. Error replies publish as `Failed`, which hands
 /// followers a fresh election while the leader keeps the error.
 fn finish_flight(inner: &ServerInner, key: &FlightKey, flight: &ReplyFlight, reply: Reply) {
-    {
-        let mut inflight = relock(&inner.inflight);
-        if inflight
-            .get(key)
-            .is_some_and(|cur| std::ptr::eq(&**cur, flight))
-        {
-            inflight.remove(key);
-        }
-    }
+    retire_flight(inner, key, flight);
     let failed = reply.error_code().is_some();
     if !failed {
         let mut cache = relock(&inner.replies);
@@ -749,4 +759,45 @@ fn finish_flight(inner: &ServerInner, key: &FlightKey, flight: &ReplyFlight, rep
         cache.map.insert(key.clone(), reply.clone());
     }
     flight.finish(if failed { Err(reply) } else { Ok(reply) });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A flight whose leader token was dropped without retiring its map
+    /// entry must not block its key: the next caller replaces it and
+    /// leads a fresh condensation.
+    #[test]
+    fn a_stale_failed_flight_is_replaced_by_a_fresh_election() {
+        let serve = ServeHandle::new(ServeConfig {
+            workers: 1,
+            queue_depth: 4,
+            ..Default::default()
+        });
+        let graph = Arc::new(freehgc_datasets::tiny(3));
+        serve.register_graph("tiny", Arc::clone(&graph));
+        let key: FlightKey = (
+            graph.fingerprint(),
+            "FreeHGC".into(),
+            0.5f64.to_bits(),
+            1,
+            2,
+            8,
+        );
+        let leader = ReplyFlight::lead(err(ErrorCode::Internal, "planted leader dropped"));
+        relock(&serve.inner.inflight).insert(key, leader.flight());
+        drop(leader);
+        let reply = serve.call(&Request::Condense {
+            graph: GraphRef::Id("tiny".into()),
+            method: "FreeHGC".into(),
+            ratio: 0.5,
+            seed: 1,
+            max_hops: 2,
+            max_paths: 8,
+            deadline_ms: 0,
+        });
+        assert!(matches!(reply, Reply::Condensed(_)), "got {reply:?}");
+        serve.shutdown();
+    }
 }
